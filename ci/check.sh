@@ -69,11 +69,11 @@ cargo test -q -p integration-tests --test checker
 # Laplace log must be clean; each fixture log must contain exactly its
 # planted finding.
 echo "== svmcheck: offline gate over captured traces =="
-cargo build -q --release --features trace -p scc-bench \
-    --bin trace_laplace --bin trace_fixture
+# One traced svmbench build serves every traced harness below.
+cargo build -q --release --features trace -p scc-bench --bin svmbench
 cargo build -q --release -p scc-checker --bin svmcheck
-./target/release/trace_laplace --quick
-./target/release/trace_fixture
+./target/release/svmbench trace_laplace --quick
+./target/release/svmbench trace_fixture
 ./target/release/svmcheck results/TRACE_laplace.log
 ./target/release/svmcheck --expect stale-read results/TRACE_stale_read.log
 ./target/release/svmcheck --expect grant-by-non-owner results/TRACE_forged_grant.log
@@ -96,8 +96,7 @@ cargo test -q -p scc-kv
 cargo test -q -p integration-tests --test kv
 
 echo "== svm-kv: traced smoke + svmcheck offline gate =="
-cargo build -q --release --features trace -p scc-bench --bin trace_kv
-./target/release/trace_kv --quick
+./target/release/svmbench trace_kv --quick
 ./target/release/svmcheck results/TRACE_kv.log
 
 # Schedule exploration + fault injection (DESIGN.md §10). The smoke sweep

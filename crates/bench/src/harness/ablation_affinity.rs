@@ -5,16 +5,15 @@
 //! local. The baseline stripes pages over the controllers regardless of
 //! the toucher.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin ablation_affinity [--quick]`
+//! Usage: `svmbench ablation_affinity [--quick]`
 
+use super::Args;
+use crate::{laplace_config, laplace_run_on, LaplaceVariant, Table};
 use metalsvm::{Placement, SvmConfig};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::laplace_run::laplace_run_cfg;
-use scc_bench::{HarnessArgs, LaplaceVariant, Table};
 use scc_mailbox::Notify;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let p = LaplaceParams {
         width: 512,
         height: 256,
@@ -25,26 +24,13 @@ fn main() {
     println!("(lazy-release Laplace, {}x{}, {} iterations)\n", p.width, p.height, p.iters);
     let mut t = Table::new(&["cores", "first-touch (ms)", "round-robin (ms)"]);
     for &n in &[4usize, 8, 16, 48] {
-        let near = laplace_run_cfg(
-            LaplaceVariant::SvmLazy,
-            n,
-            p,
-            Notify::Ipi,
-            SvmConfig::builder()
-                .placement(Placement::NearToucher)
-                .build()
-                .expect("svm config"),
-        );
-        let rr = laplace_run_cfg(
-            LaplaceVariant::SvmLazy,
-            n,
-            p,
-            Notify::Ipi,
-            SvmConfig::builder()
-                .placement(Placement::RoundRobin)
-                .build()
-                .expect("svm config"),
-        );
+        let run = |placement| {
+            let svm = SvmConfig::builder().placement(placement).build();
+            let svm = svm.expect("svm config");
+            let cfg = laplace_config(n, p);
+            laplace_run_on(cfg, LaplaceVariant::SvmLazy, n, p, Notify::Ipi, svm).0
+        };
+        let (near, rr) = (run(Placement::NearToucher), run(Placement::RoundRobin));
         assert_eq!(near.checksum, rr.checksum);
         t.row(&[
             format!("{n}"),

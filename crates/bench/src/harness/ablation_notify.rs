@@ -5,16 +5,15 @@
 //! This harness runs the strong-model Laplace solver — whose ownership
 //! protocol rides on the mailbox system — under both strategies.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin ablation_notify [--quick]`
+//! Usage: `svmbench ablation_notify [--quick]`
 
+use super::Args;
+use crate::{laplace_config, laplace_run_on, LaplaceVariant, Table};
 use metalsvm::SvmConfig;
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::laplace_run::laplace_run_cfg;
-use scc_bench::{HarnessArgs, LaplaceVariant, Table};
 use scc_mailbox::Notify;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let p = LaplaceParams {
         width: 256,
         height: 128,
@@ -24,20 +23,11 @@ fn main() {
     println!("Ablation A2 — mailbox notification under the strong SVM model\n");
     let mut t = Table::new(&["cores", "polling (ms)", "IPI (ms)"]);
     for &n in &[2usize, 4, 8, 16] {
-        let poll = laplace_run_cfg(
-            LaplaceVariant::SvmStrong,
-            n,
-            p,
-            Notify::Poll,
-            SvmConfig::default(),
-        );
-        let ipi = laplace_run_cfg(
-            LaplaceVariant::SvmStrong,
-            n,
-            p,
-            Notify::Ipi,
-            SvmConfig::default(),
-        );
+        let run = |notify| {
+            let (cfg, svm) = (laplace_config(n, p), SvmConfig::default());
+            laplace_run_on(cfg, LaplaceVariant::SvmStrong, n, p, notify, svm).0
+        };
+        let (poll, ipi) = (run(Notify::Poll), run(Notify::Ipi));
         assert_eq!(poll.checksum, ipi.checksum);
         t.row(&[
             format!("{n}"),

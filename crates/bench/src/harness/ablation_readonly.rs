@@ -1,16 +1,17 @@
 //! Ablation A3: read-only regions (§6.4) — L2-enabled sealed pages vs the
 //! ordinary MPBT write-through path for read-mostly data.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin ablation_readonly [--quick]`
+//! Usage: `svmbench ablation_readonly [--quick]`
 
+use super::Args;
+use crate::Table;
 use metalsvm::{install as svm_install, SvmConfig};
 use scc_apps::dotprod::dotprod_opt;
-use scc_bench::{HarnessArgs, Table};
 use scc_hw::SccConfig;
 use scc_kernel::Cluster;
 use scc_mailbox::{install as mbx_install, Notify};
 
-fn run(n: usize, len: usize, passes: usize, seal: bool) -> (f64, f64) {
+fn dotprod_run(n: usize, len: usize, passes: usize, seal: bool) -> (f64, f64) {
     let cfg = SccConfig::small();
     let mhz = cfg.timing.core_mhz as f64;
     let cl = Cluster::new(cfg).unwrap();
@@ -27,8 +28,7 @@ fn run(n: usize, len: usize, passes: usize, seal: bool) -> (f64, f64) {
     (res[0].result.0, max_cycles as f64 / mhz / 1000.0)
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let len = 32 * 1024;
     let passes = if args.quick { 3 } else { 8 };
 
@@ -36,8 +36,8 @@ fn main() {
     println!("(dot product, {len} elements, {passes} passes)\n");
     let mut t = Table::new(&["cores", "unsealed (ms)", "sealed RO (ms)", "speedup"]);
     for &n in &[1usize, 4, 8] {
-        let (d1, unsealed) = run(n, len, passes, false);
-        let (d2, sealed) = run(n, len, passes, true);
+        let (d1, unsealed) = dotprod_run(n, len, passes, false);
+        let (d2, sealed) = dotprod_run(n, len, passes, true);
         assert_eq!(d1, d2, "sealing must not change the result");
         t.row(&[
             format!("{n}"),

@@ -7,17 +7,15 @@
 //! This harness quantifies that trade-off on the Table 1 fault path and on
 //! a lazy-release Laplace run.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin ablation_scratchpad [--quick]`
+//! Usage: `svmbench ablation_scratchpad [--quick]`
 
+use super::Args;
+use crate::{fmt_us, laplace_config, laplace_run_on, svm_overhead, LaplaceVariant, Table};
 use metalsvm::{Consistency, ScratchLocation, SvmConfig};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::laplace_run::laplace_run_cfg;
-use scc_bench::{fmt_us, svm_overhead, HarnessArgs, LaplaceVariant, Table};
 use scc_mailbox::Notify;
 
-fn main() {
-    let args = HarnessArgs::parse();
-
+pub fn run(args: &Args) {
     println!("Ablation A1 — scratch pad location (MPB vs off-die)\n");
     let mut t = Table::new(&["fault path (lazy)", "MPB (us)", "off-die (us)"]);
     let mpb = svm_overhead(Consistency::LazyRelease, ScratchLocation::Mpb);
@@ -42,13 +40,9 @@ fn main() {
     let n = 8;
     let mut t = Table::new(&["laplace (lazy, 8 cores)", "MPB", "off-die"]);
     let run = |loc| {
-        laplace_run_cfg(
-            LaplaceVariant::SvmLazy,
-            n,
-            p,
-            Notify::Ipi,
-            SvmConfig::builder().scratch(loc).build().expect("svm config"),
-        )
+        let svm = SvmConfig::builder().scratch(loc).build();
+        let (cfg, svm) = (laplace_config(n, p), svm.expect("svm config"));
+        laplace_run_on(cfg, LaplaceVariant::SvmLazy, n, p, Notify::Ipi, svm).0
     };
     let a = run(ScratchLocation::Mpb);
     let b = run(ScratchLocation::OffDie);

@@ -15,29 +15,25 @@
 //! Emits `BENCH_checker.json`. Without the `trace` feature the rings stay
 //! empty and the numbers only prove the no-op path is free.
 //!
-//! Usage: `cargo run -p scc-bench --release --features trace
-//!         --bin bench_checker [--quick] [--iters N] [--reps N]`
+//! Usage: `svmbench bench_checker [--quick] [--iters N] [--reps N]`, built
+//! with `--features trace`.
 
 use std::time::Instant;
 
+use super::{best_of, grid, laplace_strong_traced, warn_if_untraced, write_result, Args};
+use crate::Table;
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run_traced, HarnessArgs, LaplaceVariant, Table};
+use scc_checker::json::Json;
 use scc_hw::instr::{EventKind, TraceConfig};
 use scc_hw::TraceRing;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let iters = args.iters.unwrap_or(if args.quick { 2 } else { 8 });
     let reps = args.reps.unwrap_or(if args.quick { 2 } else { 3 });
     let n = 48;
     let p = LaplaceParams::paper(iters);
 
-    if !TraceRing::compiled_in() {
-        eprintln!(
-            "warning: built without the `trace` feature — rings stay empty \
-             and the overhead measured is the no-op path."
-        );
-    }
+    warn_if_untraced("rings stay empty and the overhead measured is the no-op path");
     println!(
         "Checker-overhead benchmark — Laplace strong, {}x{}, {} iterations, \
          {} cores, best of {} reps",
@@ -50,21 +46,11 @@ fn main() {
     };
 
     // Phase 1: capture overhead (traced vs recording disabled).
-    let mut off_s = f64::INFINITY;
-    let mut on_s = f64::INFINITY;
-    let mut off = None;
-    let mut traced = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        off = Some(laplace_run_traced(LaplaceVariant::SvmStrong, n, p, TraceConfig::disabled()).0);
-        off_s = off_s.min(t0.elapsed().as_secs_f64());
-
-        let t0 = Instant::now();
-        traced = Some(laplace_run_traced(LaplaceVariant::SvmStrong, n, p, trace_cfg));
-        on_s = on_s.min(t0.elapsed().as_secs_f64());
-    }
-    let off = off.expect("reps >= 1");
-    let (on, rings) = traced.expect("reps >= 1");
+    let ((off_s, (off, _)), (on_s, (on, rings), _)) = best_of(
+        reps,
+        || laplace_strong_traced(n, p, TraceConfig::disabled()),
+        || laplace_strong_traced(n, p, trace_cfg),
+    );
     assert_eq!(off.checksum, on.checksum, "tracing changed the result");
     assert_eq!(off.sim_ms, on.sim_ms, "tracing changed simulated time");
     assert_eq!(off.metrics, on.metrics, "tracing changed the counters");
@@ -117,31 +103,24 @@ fn main() {
          ({dropped} dropped to ring wrap)"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"checker\",\n  \"grid\": {{\"width\": {}, \
-         \"height\": {}, \"iters\": {}}},\n  \"cores\": {},\n  \"reps\": {},\n  \
-         \"trace_compiled_in\": {},\n  \"untraced_s\": {:.4},\n  \
-         \"traced_s\": {:.4},\n  \"capture_delta_s\": {:.4},\n  \
-         \"capture_overhead_pct\": {:.2},\n  \"events\": {},\n  \
-         \"events_dropped\": {},\n  \"check_s\": {:.5},\n  \
-         \"events_per_s\": {:.0},\n  \"findings\": {},\n  \
-         \"sim_identical\": true\n}}\n",
-        p.width,
-        p.height,
-        p.iters,
-        n,
-        reps,
-        TraceRing::compiled_in(),
-        off_s,
-        on_s,
-        capture_delta,
-        capture_pct,
-        events,
-        dropped,
-        check_s,
-        events_per_s,
-        report.findings.len(),
+    write_result(
+        "BENCH_checker.json",
+        &[
+            ("bench", "checker".into()),
+            ("grid", grid(p)),
+            ("cores", n.into()),
+            ("reps", reps.into()),
+            ("trace_compiled_in", TraceRing::compiled_in().into()),
+            ("untraced_s", Json::fixed(off_s, 4)),
+            ("traced_s", Json::fixed(on_s, 4)),
+            ("capture_delta_s", Json::fixed(capture_delta, 4)),
+            ("capture_overhead_pct", Json::fixed(capture_pct, 2)),
+            ("events", events.into()),
+            ("events_dropped", dropped.into()),
+            ("check_s", Json::fixed(check_s, 5)),
+            ("events_per_s", Json::fixed(events_per_s, 0)),
+            ("findings", report.findings.len().into()),
+            ("sim_identical", true.into()),
+        ],
     );
-    std::fs::write("BENCH_checker.json", &json).expect("write BENCH_checker.json");
-    println!("wrote BENCH_checker.json");
 }

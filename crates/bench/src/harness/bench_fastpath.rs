@@ -25,20 +25,38 @@
 //! epoch-length histogram) and host-thread utilisation derived from the
 //! parked-time metric (EXPERIMENTS.md has the reading guide).
 //!
-//! Usage: `cargo run -p scc-bench --release --bin bench_fastpath
-//!         [--quick] [--iters N] [--reps N] [--force]`
+//! Usage: `svmbench bench_fastpath [--quick] [--iters N] [--reps N]
+//! [--force]`
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use super::{best_of, grid, refuse_clobber, write_result, Args};
+use crate::{laplace_config, laplace_run_on, LaplaceRun, LaplaceVariant, Table};
+use metalsvm::SvmConfig;
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run_host, laplace_run_host_notify, HarnessArgs, LaplaceVariant, Table};
+use scc_checker::json::Json;
 use scc_hw::instr::TraceConfig;
-use scc_hw::HostFastPaths;
+use scc_hw::{HostFastPaths, SccConfig};
 use scc_mailbox::Notify;
 
-fn main() {
-    let args = HarnessArgs::parse();
+/// Runs of one Figure 9 cell with the given notification and tracing, by
+/// host fast-path setting.
+fn cell(
+    variant: LaplaceVariant,
+    n: usize,
+    p: LaplaceParams,
+    notify: Notify,
+    trace: TraceConfig,
+) -> impl Fn(HostFastPaths) -> LaplaceRun {
+    move |host_fast| {
+        let cfg = SccConfig {
+            host_fast,
+            trace,
+            ..laplace_config(n, p)
+        };
+        laplace_run_on(cfg, variant, n, p, notify, SvmConfig::default()).0
+    }
+}
+
+pub fn run(args: &Args) {
     let iters = args.iters.unwrap_or(if args.quick { 2 } else { 8 });
     let reps = args.reps.unwrap_or(if args.quick { 2 } else { 3 });
     let n = 48;
@@ -57,28 +75,16 @@ fn main() {
         "TLB hit rate",
     ]);
 
-    let mut rows_json = String::new();
+    let mut rows = Vec::new();
     let mut total_walk = 0.0f64;
     let mut total_fast = 0.0f64;
-    for variant in [
-        LaplaceVariant::Ircce,
-        LaplaceVariant::SvmStrong,
-        LaplaceVariant::SvmLazy,
-    ] {
-        let mut walk_s = f64::INFINITY;
-        let mut fast_s = f64::INFINITY;
-        let mut walk = None;
-        let mut fast = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            walk = Some(laplace_run_host(variant, n, p, HostFastPaths::walk_path()));
-            walk_s = walk_s.min(t0.elapsed().as_secs_f64());
-
-            let t0 = Instant::now();
-            fast = Some(laplace_run_host(variant, n, p, HostFastPaths::default()));
-            fast_s = fast_s.min(t0.elapsed().as_secs_f64());
-        }
-        let (walk, fast) = (walk.expect("reps >= 1"), fast.expect("reps >= 1"));
+    for variant in LaplaceVariant::ALL {
+        let run = cell(variant, n, p, Notify::Ipi, TraceConfig::default());
+        let ((walk_s, walk), (fast_s, fast, _)) = best_of(
+            reps,
+            || run(HostFastPaths::walk_path()),
+            || run(HostFastPaths::default()),
+        );
 
         let identical = walk.checksum == fast.checksum && walk.sim_ms == fast.sim_ms;
         assert!(
@@ -109,41 +115,42 @@ fn main() {
         ]);
         println!("{}", t.render().lines().last().unwrap());
 
-        let _ = write!(
-            rows_json,
-            "{}    {{\"variant\": \"{}\", \"walk_s\": {:.3}, \"fast_s\": {:.3}, \
-             \"speedup\": {:.2}, \"sim_ms\": {:.4}, \"sim_identical\": {}, \
-             \"tlb_hits\": {}, \"tlb_misses\": {}, \"tlb_shootdowns\": {}, \
-             \"fast_yields\": {}}}",
-            if rows_json.is_empty() { "" } else { ",\n" },
-            variant.label(),
-            walk_s,
-            fast_s,
-            walk_s / fast_s,
-            fast.sim_ms,
-            identical,
-            hits,
-            misses,
-            fast.metrics.get("kernel.tlb_shootdowns"),
-            fast.metrics.get("exec.fast_yields"),
-        );
+        rows.push(vec![
+            ("variant", variant.label().into()),
+            ("walk_s", Json::fixed(walk_s, 3)),
+            ("fast_s", Json::fixed(fast_s, 3)),
+            ("speedup", Json::fixed(walk_s / fast_s, 2)),
+            ("sim_ms", Json::fixed(fast.sim_ms, 4)),
+            ("sim_identical", identical.into()),
+            ("tlb_hits", hits.into()),
+            ("tlb_misses", misses.into()),
+            (
+                "tlb_shootdowns",
+                fast.metrics.get("kernel.tlb_shootdowns").into(),
+            ),
+            ("fast_yields", fast.metrics.get("exec.fast_yields").into()),
+        ]);
     }
 
     let overall = total_walk / total_fast;
     println!("\n{}", t.render());
     println!("overall wall-clock speedup: {overall:.2}x (walk {total_walk:.2}s -> fast {total_fast:.2}s)");
 
-    let json = format!(
-        "{{\n  \"bench\": \"fastpath\",\n  \"grid\": {{\"width\": {}, \
-         \"height\": {}, \"iters\": {}}},\n  \"cores\": {},\n  \"reps\": {},\n  \
-         \"results\": [\n{}\n  ],\n  \"total_walk_s\": {:.3},\n  \
-         \"total_fast_s\": {:.3},\n  \"overall_speedup\": {:.2}\n}}\n",
-        p.width, p.height, p.iters, n, reps, rows_json, total_walk, total_fast, overall
+    write_result(
+        "BENCH_fastpath.json",
+        &[
+            ("bench", "fastpath".into()),
+            ("grid", grid(p)),
+            ("cores", n.into()),
+            ("reps", reps.into()),
+            ("results", Json::Rows(rows)),
+            ("total_walk_s", Json::fixed(total_walk, 3)),
+            ("total_fast_s", Json::fixed(total_fast, 3)),
+            ("overall_speedup", Json::fixed(overall, 2)),
+        ],
     );
-    std::fs::write("BENCH_fastpath.json", &json).expect("write BENCH_fastpath.json");
-    println!("wrote BENCH_fastpath.json");
 
-    bench_parallel(n, p, reps, args.force);
+    bench_parallel(args, n, p, reps);
 }
 
 /// The six epoch-length histogram buckets, as `(metric key, JSON key)`.
@@ -156,21 +163,9 @@ const EPOCH_BUCKETS: [(&str, &str); 6] = [
     ("exec.par.epoch_len.64_plus", "64_plus"),
 ];
 
-/// `host_cores` recorded in an existing `BENCH_parallel.json`, if any.
-fn recorded_host_cores(path: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let tail = text.split("\"host_cores\":").nth(1)?;
-    tail.trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .ok()
-}
-
 /// Phase 2: serial baton executor vs parallel conservative executor, both
 /// with the default fast paths and polling-mode mailboxes.
-fn bench_parallel(n: usize, p: LaplaceParams, reps: usize, force: bool) {
+fn bench_parallel(args: &Args, n: usize, p: LaplaceParams, reps: usize) {
     let host_cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
@@ -178,16 +173,15 @@ fn bench_parallel(n: usize, p: LaplaceParams, reps: usize, force: bool) {
     // meaningful one for this benchmark, and a rerun on a single-CPU box
     // (CI, laptops on battery) must not silently clobber it.
     let out = "BENCH_parallel.json";
-    if !force && host_cores == 1 {
-        if let Some(prev) = recorded_host_cores(out) {
-            if prev > 1 {
-                println!(
-                    "\n{out} holds a {prev}-host-core result; this host has 1 core. \
-                     Refusing to overwrite it — pass --force to do so anyway."
-                );
-                return;
-            }
-        }
+    if host_cores == 1
+        && refuse_clobber(args, out, "host_cores", |v| {
+            let prev: u64 = v.parse().ok().filter(|&prev| prev > 1)?;
+            Some(format!(
+                "\n{out} holds a {prev}-host-core result; this host has 1 core."
+            ))
+        })
+    {
+        return;
     }
     // The engine caps concurrently running simulated cores at
     // SCC_PAR_HOST_THREADS (unset/0: one host thread per simulated core).
@@ -211,50 +205,16 @@ fn bench_parallel(n: usize, p: LaplaceParams, reps: usize, force: bool) {
         "util",
     ]);
 
-    let mut rows_json = String::new();
+    let mut rows = Vec::new();
     let mut total_ser = 0.0f64;
     let mut total_par = 0.0f64;
-    for variant in [
-        LaplaceVariant::Ircce,
-        LaplaceVariant::SvmStrong,
-        LaplaceVariant::SvmLazy,
-    ] {
-        let mut ser_s = f64::INFINITY;
-        let mut par_s = f64::INFINITY;
-        let mut par_last_s = 0.0f64;
-        let mut ser = None;
-        let mut par = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            ser = Some(
-                laplace_run_host_notify(
-                    variant,
-                    n,
-                    p,
-                    HostFastPaths::default(),
-                    Notify::Poll,
-                    TraceConfig::disabled(),
-                )
-                .0,
-            );
-            ser_s = ser_s.min(t0.elapsed().as_secs_f64());
-
-            let t0 = Instant::now();
-            par = Some(
-                laplace_run_host_notify(
-                    variant,
-                    n,
-                    p,
-                    HostFastPaths::parallel(),
-                    Notify::Poll,
-                    TraceConfig::disabled(),
-                )
-                .0,
-            );
-            par_last_s = t0.elapsed().as_secs_f64();
-            par_s = par_s.min(par_last_s);
-        }
-        let (ser, par) = (ser.expect("reps >= 1"), par.expect("reps >= 1"));
+    for variant in LaplaceVariant::ALL {
+        let run = cell(variant, n, p, Notify::Poll, TraceConfig::disabled());
+        let ((ser_s, ser), (par_s, par, par_last_s)) = best_of(
+            reps,
+            || run(HostFastPaths::default()),
+            || run(HostFastPaths::parallel()),
+        );
         let identical = ser.checksum == par.checksum && ser.sim_ms == par.sim_ms;
         assert!(
             identical,
@@ -280,11 +240,10 @@ fn bench_parallel(n: usize, p: LaplaceParams, reps: usize, force: bool) {
         let park_ns = par.metrics.get("exec.par.park_ns") as f64;
         let wall_ns = par_last_s * 1e9;
         let utilization = (1.0 - park_ns / (n as f64 * wall_ns)).clamp(0.0, 1.0);
-        let histogram: String = EPOCH_BUCKETS
+        let histogram = EPOCH_BUCKETS
             .iter()
-            .map(|(metric, key)| format!("\"{key}\": {}", par.metrics.get(metric)))
-            .collect::<Vec<_>>()
-            .join(", ");
+            .map(|&(metric, key)| (key, par.metrics.get(metric).into()))
+            .collect();
         total_ser += ser_s;
         total_par += par_s;
         t.row(&[
@@ -299,31 +258,23 @@ fn bench_parallel(n: usize, p: LaplaceParams, reps: usize, force: bool) {
         ]);
         println!("{}", t.render().lines().last().unwrap());
 
-        let _ = write!(
-            rows_json,
-            "{}    {{\"variant\": \"{}\", \"serial_s\": {:.3}, \"parallel_s\": {:.3}, \
-             \"speedup\": {:.2}, \"sim_ms\": {:.4}, \"sim_identical\": {}, \
-             \"par_windows\": {}, \"par_visible_ops\": {}, \"par_horizon_stalls\": {}, \
-             \"par_demoted_ops\": {}, \"par_conflicts\": {}, \"par_epochs\": {}, \
-             \"par_park_ns\": {}, \"host_utilization\": {:.4}, \
-             \"epoch_len_histogram\": {{{}}}}}",
-            if rows_json.is_empty() { "" } else { ",\n" },
-            variant.label(),
-            ser_s,
-            par_s,
-            ser_s / par_s,
-            par.sim_ms,
-            identical,
-            windows,
-            visible,
-            stalls,
-            demoted,
-            conflicts,
-            epochs,
-            park_ns as u64,
-            utilization,
-            histogram,
-        );
+        rows.push(vec![
+            ("variant", variant.label().into()),
+            ("serial_s", Json::fixed(ser_s, 3)),
+            ("parallel_s", Json::fixed(par_s, 3)),
+            ("speedup", Json::fixed(ser_s / par_s, 2)),
+            ("sim_ms", Json::fixed(par.sim_ms, 4)),
+            ("sim_identical", identical.into()),
+            ("par_windows", windows.into()),
+            ("par_visible_ops", visible.into()),
+            ("par_horizon_stalls", stalls.into()),
+            ("par_demoted_ops", demoted.into()),
+            ("par_conflicts", conflicts.into()),
+            ("par_epochs", epochs.into()),
+            ("par_park_ns", (park_ns as u64).into()),
+            ("host_utilization", Json::fixed(utilization, 4)),
+            ("epoch_len_histogram", Json::Obj(histogram)),
+        ]);
     }
 
     let overall = total_ser / total_par;
@@ -333,24 +284,19 @@ fn bench_parallel(n: usize, p: LaplaceParams, reps: usize, force: bool) {
          {total_par:.2}s) on {host_cores} host core(s)"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"parallel\",\n  \"grid\": {{\"width\": {}, \
-         \"height\": {}, \"iters\": {}}},\n  \"cores\": {},\n  \"reps\": {},\n  \
-         \"host_cores\": {},\n  \"host_threads\": {},\n  \"results\": [\n{}\n  ],\n  \
-         \"total_serial_s\": {:.3},\n  \
-         \"total_parallel_s\": {:.3},\n  \"overall_speedup\": {:.2}\n}}\n",
-        p.width,
-        p.height,
-        p.iters,
-        n,
-        reps,
-        host_cores,
-        host_threads,
-        rows_json,
-        total_ser,
-        total_par,
-        overall
+    write_result(
+        out,
+        &[
+            ("bench", "parallel".into()),
+            ("grid", grid(p)),
+            ("cores", n.into()),
+            ("reps", reps.into()),
+            ("host_cores", host_cores.into()),
+            ("host_threads", host_threads.into()),
+            ("results", Json::Rows(rows)),
+            ("total_serial_s", Json::fixed(total_ser, 3)),
+            ("total_parallel_s", Json::fixed(total_par, 3)),
+            ("overall_speedup", Json::fixed(overall, 2)),
+        ],
     );
-    std::fs::write(out, &json).expect("write BENCH_parallel.json");
-    println!("wrote {out}");
 }

@@ -17,13 +17,13 @@
 //! `--quick` rerun will not silently overwrite a recorded full-size
 //! result (pass `--force` to do it anyway).
 //!
-//! Usage: `cargo run -p scc-bench --release --bin bench_kv
-//!         [--quick] [--iters REQUESTS_PER_CLIENT] [--force]`
+//! Usage: `svmbench bench_kv [--quick] [--iters REQUESTS_PER_CLIENT]
+//! [--force]`
 
-use std::fmt::Write as _;
-
+use super::{refuse_clobber, write_result, Args};
+use crate::Table;
 use metalsvm::{install as svm_install, SvmConfig};
-use scc_bench::{HarnessArgs, Table};
+use scc_checker::json::Json;
 use scc_hw::{SccConfig, Topology};
 use scc_kernel::Cluster;
 use scc_kv::{run_kv, KvConfig, KvOutcome, LatencyHistogram, Strategy};
@@ -39,33 +39,16 @@ fn kv_machine(topo: Topology) -> SccConfig {
     }
 }
 
-struct Row {
-    topo: &'static str,
-    cores: usize,
-    servers: usize,
-    strategy: Strategy,
-    theta: f64,
-    sent: u64,
-    served: u64,
-    rejected: u64,
-    sim_ms: f64,
-    kreq_per_s: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    mean_us: f64,
-    max_us: f64,
-}
-
-/// One full service run; everything reported is simulated and
-/// deterministic in (topology, strategy, theta, requests).
+/// One full service run, as its table row and its `BENCH_kv.json` row;
+/// everything reported is simulated and deterministic in (topology,
+/// strategy, theta, requests).
 fn run_one(
     topo_name: &'static str,
     topo: Topology,
     strategy: Strategy,
     theta: f64,
     requests_per_client: usize,
-) -> Row {
+) -> (Vec<String>, Vec<(&'static str, Json)>) {
     let cfg = kv_machine(topo);
     let mhz = cfg.timing.core_mhz as f64;
     let n = topo.num_cores();
@@ -108,46 +91,55 @@ fn run_one(
     let end = outs.iter().map(|o| o.end_clock).max().unwrap();
     let span_cycles = (end - start).max(1);
     let span_s = span_cycles as f64 / (mhz * 1e6);
-    Row {
-        topo: topo_name,
-        cores: n,
-        servers,
-        strategy,
-        theta,
-        sent,
-        served,
-        rejected,
-        sim_ms: span_s * 1e3,
-        kreq_per_s: sent as f64 / span_s / 1e3,
-        p50_us: hist.p50() as f64 / mhz,
-        p99_us: hist.p99() as f64 / mhz,
-        p999_us: hist.p999() as f64 / mhz,
-        mean_us: hist.mean() / mhz,
-        max_us: hist.max() as f64 / mhz,
-    }
+    let kreq_per_s = sent as f64 / span_s / 1e3;
+    let us = |cycles: f64| cycles / mhz;
+    let (p50, p99, p999) = (
+        us(hist.p50() as f64),
+        us(hist.p99() as f64),
+        us(hist.p999() as f64),
+    );
+    let table = vec![
+        topo_name.to_string(),
+        format!("{n}"),
+        strategy.name().to_string(),
+        format!("{theta:.2}"),
+        format!("{sent}"),
+        format!("{rejected}"),
+        format!("{kreq_per_s:9.1}"),
+        format!("{p50:8.2}"),
+        format!("{p99:8.2}"),
+        format!("{p999:8.2}"),
+    ];
+    let json = vec![
+        ("mesh", topo_name.into()),
+        ("cores", n.into()),
+        ("servers", servers.into()),
+        ("strategy", strategy.name().into()),
+        ("zipf_theta", Json::fixed(theta, 2)),
+        ("sent", sent.into()),
+        ("served", served.into()),
+        ("rejected", rejected.into()),
+        ("sim_ms", Json::fixed(span_s * 1e3, 3)),
+        ("kreq_per_s", Json::fixed(kreq_per_s, 2)),
+        ("p50_us", Json::fixed(p50, 3)),
+        ("p99_us", Json::fixed(p99, 3)),
+        ("p999_us", Json::fixed(p999, 3)),
+        ("mean_us", Json::fixed(us(hist.mean()), 3)),
+        ("max_us", Json::fixed(us(hist.max() as f64), 3)),
+    ];
+    (table, json)
 }
 
-/// `"quick"` recorded in an existing `BENCH_kv.json`, if any.
-fn recorded_quick(path: &str) -> Option<bool> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let tail = text.split("\"quick\":").nth(1)?;
-    match tail.trim_start() {
-        t if t.starts_with("true") => Some(true),
-        t if t.starts_with("false") => Some(false),
-        _ => None,
-    }
-}
-
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let out = "BENCH_kv.json";
     // Guard the recorded result: a full-size sweep is the meaningful one;
     // a --quick rerun must not silently clobber it.
-    if !args.force && args.quick && recorded_quick(out) == Some(false) {
-        println!(
-            "{out} holds a full-size result; this is a --quick run. \
-             Refusing to overwrite it — pass --force to do so anyway."
-        );
+    if args.quick
+        && refuse_clobber(args, out, "quick", |v| {
+            (v == "false")
+                .then(|| format!("{out} holds a full-size result; this is a --quick run."))
+        })
+    {
         return;
     }
     let requests = args.iters.unwrap_or(if args.quick { 150 } else { 1000 });
@@ -178,60 +170,25 @@ fn main() {
         "p99 (us)",
         "p999 (us)",
     ]);
-    let mut rows_json = String::new();
+    let mut rows = Vec::new();
     for (topo_name, topo) in topos {
         for theta in thetas {
             for strategy in strategies {
-                let r = run_one(topo_name, topo, strategy, theta, requests);
-                t.row(&[
-                    r.topo.to_string(),
-                    format!("{}", r.cores),
-                    r.strategy.name().to_string(),
-                    format!("{:.2}", r.theta),
-                    format!("{}", r.sent),
-                    format!("{}", r.rejected),
-                    format!("{:9.1}", r.kreq_per_s),
-                    format!("{:8.2}", r.p50_us),
-                    format!("{:8.2}", r.p99_us),
-                    format!("{:8.2}", r.p999_us),
-                ]);
-                if !rows_json.is_empty() {
-                    rows_json.push_str(",\n");
-                }
-                write!(
-                    rows_json,
-                    "    {{\"mesh\": \"{}\", \"cores\": {}, \"servers\": {}, \
-                     \"strategy\": \"{}\", \"zipf_theta\": {:.2}, \"sent\": {}, \
-                     \"served\": {}, \"rejected\": {}, \"sim_ms\": {:.3}, \
-                     \"kreq_per_s\": {:.2}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-                     \"p999_us\": {:.3}, \"mean_us\": {:.3}, \"max_us\": {:.3}}}",
-                    r.topo,
-                    r.cores,
-                    r.servers,
-                    r.strategy.name(),
-                    r.theta,
-                    r.sent,
-                    r.served,
-                    r.rejected,
-                    r.sim_ms,
-                    r.kreq_per_s,
-                    r.p50_us,
-                    r.p99_us,
-                    r.p999_us,
-                    r.mean_us,
-                    r.max_us,
-                )
-                .unwrap();
+                let (cells, row) = run_one(topo_name, topo, strategy, theta, requests);
+                t.row(&cells);
+                rows.push(row);
             }
         }
     }
     println!("\n{}", t.render());
 
-    let json = format!(
-        "{{\n  \"bench\": \"kv\",\n  \"quick\": {},\n  \
-         \"requests_per_client\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        args.quick, requests, rows_json
+    write_result(
+        out,
+        &[
+            ("bench", "kv".into()),
+            ("quick", args.quick.into()),
+            ("requests_per_client", requests.into()),
+            ("results", Json::Rows(rows)),
+        ],
     );
-    std::fs::write(out, &json).expect("write BENCH_kv.json");
-    println!("wrote {out}");
 }

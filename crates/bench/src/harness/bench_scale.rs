@@ -30,19 +30,18 @@
 //! All simulated figures are deterministic per shape — reps exist only
 //! for the host wall-clock, not the results.
 //!
-//! Usage: `cargo run -p scc-bench --release --features trace
-//!         --bin bench_scale [--quick]`
+//! Usage: `svmbench bench_scale [--quick]`, built with `--features trace`.
 
-use std::fmt::Write as _;
-
+use super::{warn_if_untraced, write_result, Args};
+use crate::{laplace_run_on, LaplaceVariant, Table};
 use metalsvm::{install as svm_install, Consistency, SvmConfig};
+use rcce::{allreduce_f64, RcceComm, ReduceOp};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run_host_on, HarnessArgs, LaplaceVariant, Table};
+use scc_checker::json::Json;
 use scc_hw::instr::TraceConfig;
 use scc_hw::{CollMode, CoreId, SccConfig, Topology, TraceRing};
 use scc_kernel::Cluster;
 use scc_mailbox::{install as mbx_install, Notify};
-use rcce::{allreduce_f64, RcceComm, ReduceOp};
 
 /// Machine for one mesh shape: enough shared memory for the mailbox slot
 /// rows of 512 receivers plus the SVM window, modest private memory.
@@ -161,7 +160,8 @@ fn checker_pass(topo: Topology, p: LaplaceParams) -> (usize, usize) {
         ..config_for(topo, CollMode::Tree)
     };
     let n = topo.num_cores();
-    let (_, obs) = laplace_run_host_on(cfg, LaplaceVariant::SvmStrong, n, p, Notify::Ipi);
+    let svm = SvmConfig::default();
+    let (_, obs) = laplace_run_on(cfg, LaplaceVariant::SvmStrong, n, p, Notify::Ipi, svm);
     let rings: Vec<(CoreId, TraceRing)> = obs.into_iter().map(|o| (o.core, o.trace)).collect();
     let events: usize = rings.iter().map(|(_, r)| r.len()).sum();
     let report = scc_checker::check_rings(rings.iter().map(|(c, r)| (*c, r)));
@@ -175,8 +175,7 @@ fn checker_pass(topo: Topology, p: LaplaceParams) -> (usize, usize) {
     (events, report.findings.len())
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let rounds = if args.quick { 8 } else { 16 };
     let barriers = if args.quick { 4 } else { 8 };
     let reduces = if args.quick { 2 } else { 4 };
@@ -204,7 +203,7 @@ fn main() {
         "allreduce flat (us)",
         "allreduce tree (us)",
     ]);
-    let mut rows_json = String::new();
+    let mut rows = Vec::new();
     for (name, topo) in shapes {
         // Progress heartbeat on stderr: the 512-core phases are minutes
         // of host time each on a small machine.
@@ -239,16 +238,18 @@ fn main() {
             format!("{red_tree:10.3}"),
         ]);
         println!("{}", t.render().lines().last().unwrap());
-        let _ = write!(
-            rows_json,
-            "{}    {{\"preset\": \"{name}\", \"cores\": {}, \"mesh\": \"{mesh}\", \
-             \"migration_hops\": {hops}, \"migration_us\": {mig_us:.4}, \
-             \"barrier_flat_us\": {bar_flat:.4}, \"barrier_tree_us\": {bar_tree:.4}, \
-             \"barrier_tree_speedup\": {speedup:.3}, \
-             \"allreduce_flat_us\": {red_flat:.4}, \"allreduce_tree_us\": {red_tree:.4}}}",
-            if rows_json.is_empty() { "" } else { ",\n" },
-            topo.num_cores(),
-        );
+        rows.push(vec![
+            ("preset", name.into()),
+            ("cores", topo.num_cores().into()),
+            ("mesh", mesh.into()),
+            ("migration_hops", hops.into()),
+            ("migration_us", Json::fixed(mig_us, 4)),
+            ("barrier_flat_us", Json::fixed(bar_flat, 4)),
+            ("barrier_tree_us", Json::fixed(bar_tree, 4)),
+            ("barrier_tree_speedup", Json::fixed(speedup, 3)),
+            ("allreduce_flat_us", Json::fixed(red_flat, 4)),
+            ("allreduce_tree_us", Json::fixed(red_tree, 4)),
+        ]);
     }
 
     println!("\n{}", t.render());
@@ -277,14 +278,9 @@ fn main() {
             LaplaceParams { width: 512, height: 512, iters: 2 },
         ),
     ];
-    if !TraceRing::compiled_in() {
-        eprintln!(
-            "warning: built without the `trace` feature — checker rings stay \
-             empty and the findings curve only proves the no-op path."
-        );
-    }
+    warn_if_untraced("checker rings stay empty and the findings curve only proves the no-op path");
     println!("\nchecker curve (traced Laplace strong, tree collectives):");
-    let mut checker_json = String::new();
+    let mut checker_rows = Vec::new();
     for (name, topo, p) in checker_shapes {
         eprintln!("[bench_scale] checker: {name}...");
         let (events, findings) = checker_pass(topo, p);
@@ -292,22 +288,24 @@ fn main() {
             "  {name:>9} ({:3} cores): {events:8} events, {findings} findings",
             topo.num_cores()
         );
-        let _ = write!(
-            checker_json,
-            "{}    {{\"preset\": \"{name}\", \"cores\": {}, \"events\": {events}, \
-             \"findings\": {findings}}}",
-            if checker_json.is_empty() { "" } else { ",\n" },
-            topo.num_cores(),
-        );
+        checker_rows.push(vec![
+            ("preset", name.into()),
+            ("cores", topo.num_cores().into()),
+            ("events", events.into()),
+            ("findings", findings.into()),
+        ]);
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"migration_rounds\": {rounds},\n  \
-         \"barriers\": {barriers},\n  \"allreduces\": {reduces},\n  \
-         \"trace_compiled_in\": {},\n  \"results\": [\n{rows_json}\n  ],\n  \
-         \"checker\": [\n{checker_json}\n  ]\n}}\n",
-        TraceRing::compiled_in(),
+    write_result(
+        "BENCH_scale.json",
+        &[
+            ("bench", "scale".into()),
+            ("migration_rounds", rounds.into()),
+            ("barriers", barriers.into()),
+            ("allreduces", reduces.into()),
+            ("trace_compiled_in", TraceRing::compiled_in().into()),
+            ("results", Json::Rows(rows)),
+            ("checker", Json::Rows(checker_rows)),
+        ],
     );
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
-    println!("wrote BENCH_scale.json");
 }

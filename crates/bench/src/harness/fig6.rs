@@ -5,14 +5,14 @@
 //! polling) and with IPI support (GIC doorbell). Reported values are half
 //! round-trip times in simulated microseconds, as in the paper.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin fig6 [--quick]`
+//! Usage: `svmbench fig6 [--quick]`
 
-use scc_bench::{fmt_us, HarnessArgs, PingPongSetup, Table};
+use super::Args;
+use crate::{fmt_us, PingPongSetup, Table};
 use scc_hw::{CoreId, Topology};
 use scc_mailbox::Notify;
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let rounds = if args.quick { 50 } else { 400 };
     let topo = Topology::from_env_or_scc48();
     let origin = CoreId::from_raw(0);
@@ -24,13 +24,13 @@ fn main() {
         let partner = topo
             .core_at_distance(origin, hops)
             .expect("partner exists up to the mesh diameter");
-        let poll = scc_bench::pingpong_latency_us(&PingPongSetup::pair(
+        let poll = crate::pingpong_latency_us(&PingPongSetup::pair(
             origin,
             partner,
             Notify::Poll,
             rounds,
         ));
-        let ipi = scc_bench::pingpong_latency_us(&PingPongSetup::pair(
+        let ipi = crate::pingpong_latency_us(&PingPongSetup::pair(
             origin,
             partner,
             Notify::Ipi,

@@ -8,10 +8,11 @@
 //! * **IPI + noise** — as before, while all other activated cores
 //!   permanently exchange mails among themselves.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin fig7 [--quick]`
+//! Usage: `svmbench fig7 [--quick]`
 
-use scc_bench::pingpong::{Background, PingPongSetup};
-use scc_bench::{fmt_us, HarnessArgs, Table};
+use super::Args;
+use crate::pingpong::{Background, PingPongSetup};
+use crate::{fmt_us, Table};
 use scc_hw::CoreId;
 use scc_mailbox::Notify;
 
@@ -28,8 +29,7 @@ fn active_set(n: usize) -> Vec<CoreId> {
     v
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let rounds = if args.quick { 30 } else { 200 };
     let counts: &[usize] = if args.quick {
         &[2, 8, 16, 32, 48]
@@ -50,9 +50,9 @@ fn main() {
             background,
             rounds,
         };
-        let poll = scc_bench::pingpong_latency_us(&mk(Notify::Poll, Background::Idle));
-        let ipi = scc_bench::pingpong_latency_us(&mk(Notify::Ipi, Background::Idle));
-        let noise = scc_bench::pingpong_latency_us(&mk(Notify::Ipi, Background::Noise));
+        let poll = crate::pingpong_latency_us(&mk(Notify::Poll, Background::Idle));
+        let ipi = crate::pingpong_latency_us(&mk(Notify::Ipi, Background::Idle));
+        let noise = crate::pingpong_latency_us(&mk(Notify::Ipi, Background::Noise));
         t.row(&[format!("{n}"), fmt_us(poll), fmt_us(ipi), fmt_us(noise)]);
     }
     println!("{}", t.render());

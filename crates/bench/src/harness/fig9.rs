@@ -7,13 +7,13 @@
 //! iterations (runtime curves are shape-invariant in the iteration count
 //! after the first iteration's cold faults — see EXPERIMENTS.md).
 //!
-//! Usage: `cargo run -p scc-bench --release --bin fig9 [--quick] [--iters N]`
+//! Usage: `svmbench fig9 [--quick] [--iters N]`
 
+use super::Args;
+use crate::{laplace_run, LaplaceVariant, Table};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run, HarnessArgs, LaplaceVariant, Table};
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let iters = args.iters.unwrap_or(if args.quick { 8 } else { 50 });
     let p = LaplaceParams::paper(iters);
     let counts: &[usize] = if args.quick {

@@ -3,12 +3,13 @@
 //! Cores 0 and 30; a 4 MiB collective allocation; first touch by core 0;
 //! first access by core 30; re-access by core 0. Strong vs lazy release.
 //!
-//! Usage: `cargo run -p scc-bench --release --bin table1`
+//! Usage: `svmbench table1`
 
+use super::Args;
+use crate::{fmt_us, svm_overhead, Table};
 use metalsvm::{Consistency, ScratchLocation};
-use scc_bench::{fmt_us, svm_overhead, Table};
 
-fn main() {
+pub fn run(_args: &Args) {
     let strong = svm_overhead(Consistency::Strong, ScratchLocation::Mpb);
     let lazy = svm_overhead(Consistency::LazyRelease, ScratchLocation::Mpb);
 

@@ -6,19 +6,18 @@
 //! and writes `results/TRACE_<name>.log`. `ci/check.sh` then asserts
 //! `svmcheck --expect <slug> results/TRACE_<name>.log` for each.
 //!
-//! Usage: `cargo run -p scc-bench --release --features trace
-//!         --bin trace_fixture [name ...]`
+//! Usage: `svmbench trace_fixture [FIXTURE ...]`, built with `--features
+//! trace`.
 
+use super::{warn_if_untraced, write_out, Args};
 use scc_apps::fixtures::{fixture, run_fixture_traced, FIXTURES};
 use scc_hw::instr::{protocol_log, EventKind, TraceConfig};
-use scc_hw::TraceRing;
 
-fn main() {
-    let names: Vec<String> = std::env::args().skip(1).collect();
-    let picked: Vec<_> = if names.is_empty() {
+pub fn run(args: &Args) {
+    let picked: Vec<_> = if args.fixtures.is_empty() {
         FIXTURES.iter().collect()
     } else {
-        names
+        args.fixtures
             .iter()
             .map(|n| {
                 fixture(n).unwrap_or_else(|| {
@@ -32,24 +31,18 @@ fn main() {
             .collect()
     };
 
-    if !TraceRing::compiled_in() {
-        eprintln!(
-            "warning: built without the `trace` feature — rings stay empty.\n\
-             Rebuild with `--features trace` to capture events."
-        );
-    }
+    warn_if_untraced("rings stay empty; rebuild with `--features trace` to capture events");
 
     let trace_cfg = TraceConfig {
         per_core_capacity: 1 << 16,
         mask: EventKind::default_mask(),
     };
-    std::fs::create_dir_all("results").expect("create results/");
     for f in picked {
         let rings = run_fixture_traced(f, trace_cfg);
         let events: usize = rings.iter().map(|(_, r)| r.len()).sum();
         let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
         let path = format!("results/TRACE_{}.log", f.name);
-        std::fs::write(&path, &log).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        write_out(&path, &log);
         println!(
             "{path}: {events} events over {} core(s), expect {}/{}",
             f.cores, f.detector, f.expect

@@ -11,12 +11,12 @@
 //! `kv.kv_req`/`kv.kv_resp` request events). Both re-parse with the
 //! `svmcheck` binary — ci/check.sh gates on the log staying clean.
 //!
-//! Usage: `cargo run -p scc-bench --release --features trace
-//!         --bin trace_kv [--quick] [--iters REQUESTS_PER_CLIENT]`
+//! Usage: `svmbench trace_kv [--quick] [--iters REQUESTS_PER_CLIENT]`, built
+//! with `--features trace`.
 
+use super::{export_trace, warn_if_untraced, Args};
 use metalsvm::{install as svm_install, SvmConfig};
-use scc_bench::HarnessArgs;
-use scc_hw::instr::{chrome_trace_json, protocol_log, EventKind, TraceConfig};
+use scc_hw::instr::{EventKind, TraceConfig};
 use scc_hw::{CoreId, SccConfig, TraceRing};
 use scc_kernel::Cluster;
 use scc_kv::{run_kv, KvConfig, KvOutcome, Strategy};
@@ -36,17 +36,12 @@ fn traced_run(kv: &KvConfig, n: usize, trace: TraceConfig) -> (Vec<KvOutcome>, V
             run_kv(k, &mbx, &mut svm, kv)
         })
         .expect("kv service must not deadlock");
-    let mut outs = Vec::new();
-    let mut rings = Vec::new();
-    for r in res {
-        outs.push(r.result);
-        rings.push((r.core, r.trace));
-    }
-    (outs, rings)
+    res.into_iter()
+        .map(|r| (r.result, (r.core, r.trace)))
+        .unzip()
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let requests = args.iters.unwrap_or(if args.quick { 150 } else { 600 });
     let n = 8;
     let kv = KvConfig {
@@ -63,12 +58,7 @@ fn main() {
         record_requests: true,
     };
 
-    if !TraceRing::compiled_in() {
-        eprintln!(
-            "warning: built without the `trace` feature — rings stay empty.\n\
-             Rebuild with `--features trace` to capture events."
-        );
-    }
+    warn_if_untraced("rings stay empty; rebuild with `--features trace` to capture events");
     println!(
         "Tracing svm-kv (strong + LRC partitions, {n} cores, {} servers, \
          {requests} requests/client)...",
@@ -107,15 +97,5 @@ fn main() {
     );
     println!("svmcheck: 0 findings over the captured rings");
 
-    let mhz = SccConfig::default().timing.core_mhz;
-    std::fs::create_dir_all("results").expect("create results/");
-    let json = chrome_trace_json(rings.iter().map(|(c, r)| (*c, r)), mhz);
-    std::fs::write("results/TRACE_kv.json", &json).expect("write results/TRACE_kv.json");
-    let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
-    std::fs::write("results/TRACE_kv.log", &log).expect("write results/TRACE_kv.log");
-    println!(
-        "wrote results/TRACE_kv.json ({} KiB) and results/TRACE_kv.log ({} lines)",
-        json.len() / 1024,
-        log.lines().count()
-    );
+    export_trace("kv", &rings);
 }

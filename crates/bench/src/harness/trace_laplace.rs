@@ -9,26 +9,19 @@
 //! `results/TRACE_laplace.log` (a flat, time-sorted protocol log). Both
 //! re-parse with `svmcheck` for offline consistency checking.
 //!
-//! Usage: `cargo run -p scc-bench --release --features trace
-//!         --bin trace_laplace [--quick] [--iters N]`
+//! Usage: `svmbench trace_laplace [--quick] [--iters N]`, built with
+//! `--features trace`.
 
+use super::{export_trace, laplace_strong_traced, warn_if_untraced, Args};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run_traced, HarnessArgs, LaplaceVariant};
-use scc_hw::instr::{chrome_trace_json, protocol_log, EventKind, TraceConfig};
-use scc_hw::TraceRing;
+use scc_hw::instr::{EventKind, TraceConfig};
 
-fn main() {
-    let args = HarnessArgs::parse();
+pub fn run(args: &Args) {
     let iters = args.iters.unwrap_or(if args.quick { 2 } else { 8 });
     let n = 48;
     let p = LaplaceParams::paper(iters);
 
-    if !TraceRing::compiled_in() {
-        eprintln!(
-            "warning: built without the `trace` feature — rings stay empty.\n\
-             Rebuild with `--features trace` to capture events."
-        );
-    }
+    warn_if_untraced("rings stay empty; rebuild with `--features trace` to capture events");
 
     println!(
         "Tracing Laplace (SVM strong, {}x{}, {} iterations, {} cores)...",
@@ -38,9 +31,8 @@ fn main() {
         per_core_capacity: 1 << 16,
         mask: EventKind::default_mask(),
     };
-    let (traced, rings) = laplace_run_traced(LaplaceVariant::SvmStrong, n, p, trace_cfg);
-    let (shadow, _) =
-        laplace_run_traced(LaplaceVariant::SvmStrong, n, p, TraceConfig::disabled());
+    let (traced, rings) = laplace_strong_traced(n, p, trace_cfg);
+    let (shadow, _) = laplace_strong_traced(n, p, TraceConfig::disabled());
 
     // Tracing must never perturb the simulation.
     assert_eq!(traced.checksum, shadow.checksum, "tracing changed the result");
@@ -58,16 +50,6 @@ fn main() {
         rings.len()
     );
 
-    let mhz = scc_hw::SccConfig::default().timing.core_mhz;
-    std::fs::create_dir_all("results").expect("create results/");
-    let json = chrome_trace_json(rings.iter().map(|(c, r)| (*c, r)), mhz);
-    std::fs::write("results/TRACE_laplace.json", &json).expect("write results/TRACE_laplace.json");
-    let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
-    std::fs::write("results/TRACE_laplace.log", &log).expect("write results/TRACE_laplace.log");
-    println!(
-        "wrote results/TRACE_laplace.json ({} KiB) and results/TRACE_laplace.log ({} lines)",
-        json.len() / 1024,
-        log.lines().count()
-    );
+    export_trace("laplace", &rings);
     println!("open the JSON in chrome://tracing or https://ui.perfetto.dev");
 }

@@ -4,7 +4,6 @@
 use metalsvm::{install as svm_install, Consistency, SvmConfig};
 use rcce::RcceComm;
 use scc_apps::laplace::{laplace_ircce, laplace_svm, LaplaceParams};
-use scc_hw::instr::TraceConfig;
 use scc_hw::{CoreId, MetricsSnapshot, MetricsSource, SccConfig, TraceRing};
 use scc_kernel::Cluster;
 use scc_mailbox::{install as mbx_install, Notify};
@@ -21,6 +20,13 @@ pub enum LaplaceVariant {
 }
 
 impl LaplaceVariant {
+    /// Every variant, in Figure 9's column order.
+    pub const ALL: [LaplaceVariant; 3] = [
+        LaplaceVariant::Ircce,
+        LaplaceVariant::SvmStrong,
+        LaplaceVariant::SvmLazy,
+    ];
+
     pub fn label(self) -> &'static str {
         match self {
             LaplaceVariant::Ircce => "iRCCE",
@@ -60,24 +66,8 @@ pub fn laplace_config(n: usize, p: LaplaceParams) -> SccConfig {
 
 /// Run one cell of Figure 9 on a fresh machine.
 pub fn laplace_run(variant: LaplaceVariant, n: usize, p: LaplaceParams) -> LaplaceRun {
-    laplace_run_cfg(variant, n, p, Notify::Ipi, SvmConfig::default())
-}
-
-/// Like [`laplace_run`], with the host fast paths (simulated TLB, bulk
-/// accessors, executor fast yield) configured explicitly. Simulated results
-/// are identical for every setting; only host wall-clock changes (the
-/// `bench_fastpath` harness and the shadow tests rely on this).
-pub fn laplace_run_host(
-    variant: LaplaceVariant,
-    n: usize,
-    p: LaplaceParams,
-    host_fast: scc_hw::HostFastPaths,
-) -> LaplaceRun {
-    let cfg = SccConfig {
-        host_fast,
-        ..laplace_config(n, p)
-    };
-    laplace_run_on(cfg, variant, n, p, Notify::Ipi, SvmConfig::default()).0
+    let (cfg, svm) = (laplace_config(n, p), SvmConfig::default());
+    laplace_run_on(cfg, variant, n, p, Notify::Ipi, svm).0
 }
 
 /// Per-core observables of one run, for bit-identity comparisons across
@@ -88,73 +78,19 @@ pub struct LaplaceCoreObs {
     pub trace: TraceRing,
 }
 
-/// Like [`laplace_run_host`], with an explicit mailbox notification
-/// strategy and trace configuration, also returning each core's final
-/// clock and trace ring. The parallel shadow tests use this with
-/// [`Notify::Poll`] (the parallel executor does not support IPIs) to
-/// compare serial and parallel executions bit for bit.
-pub fn laplace_run_host_notify(
-    variant: LaplaceVariant,
-    n: usize,
-    p: LaplaceParams,
-    host_fast: scc_hw::HostFastPaths,
-    notify: Notify,
-    trace: TraceConfig,
-) -> (LaplaceRun, Vec<LaplaceCoreObs>) {
-    let cfg = SccConfig {
-        host_fast,
-        trace,
-        ..laplace_config(n, p)
-    };
-    laplace_run_on(cfg, variant, n, p, notify, SvmConfig::default())
-}
-
-/// Like [`laplace_run_host_notify`], on an explicit machine configuration
-/// — topology, memory sizes, fast paths, tracing — instead of the
-/// default-shaped one. The scale acceptance tests use this to run the
-/// Figure 9 cells on the 512-core `mesh16x32` preset.
-pub fn laplace_run_host_on(
-    cfg: SccConfig,
-    variant: LaplaceVariant,
-    n: usize,
-    p: LaplaceParams,
-    notify: Notify,
-) -> (LaplaceRun, Vec<LaplaceCoreObs>) {
-    laplace_run_on(cfg, variant, n, p, notify, SvmConfig::default())
-}
-
-/// Like [`laplace_run`], with explicit mailbox notification strategy and
-/// SVM configuration (used by the ablation harnesses).
-pub fn laplace_run_cfg(
-    variant: LaplaceVariant,
-    n: usize,
-    p: LaplaceParams,
-    notify: Notify,
-    svm_cfg: SvmConfig,
-) -> LaplaceRun {
-    laplace_run_on(laplace_config(n, p), variant, n, p, notify, svm_cfg).0
-}
-
-/// Like [`laplace_run`], with structured-event tracing configured, also
-/// returning each participating core's trace ring. Rings are empty unless
-/// the `trace` cargo feature is compiled in (`TraceRing::compiled_in()`)
-/// and `trace.per_core_capacity > 0`. Export with
+/// Like [`laplace_run`], on an explicit machine configuration (usually
+/// [`laplace_config`] with some fields overridden: host fast paths,
+/// tracing, topology), mailbox notification strategy and SVM
+/// configuration, also returning each core's final clock and trace ring.
+///
+/// Simulated results are identical for every `host_fast` setting and
+/// every trace configuration; only host wall-clock changes. Rings are
+/// empty unless the `trace` cargo feature is compiled in and
+/// `cfg.trace.per_core_capacity > 0`; export them with
 /// [`scc_hw::instr::chrome_trace_json`] or [`scc_hw::instr::protocol_log`].
-pub fn laplace_run_traced(
-    variant: LaplaceVariant,
-    n: usize,
-    p: LaplaceParams,
-    trace: TraceConfig,
-) -> (LaplaceRun, Vec<(CoreId, TraceRing)>) {
-    let cfg = SccConfig {
-        trace,
-        ..laplace_config(n, p)
-    };
-    let (run, obs) = laplace_run_on(cfg, variant, n, p, Notify::Ipi, SvmConfig::default());
-    (run, obs.into_iter().map(|o| (o.core, o.trace)).collect())
-}
-
-fn laplace_run_on(
+/// The parallel executor does not support IPIs, so runs under it use
+/// [`Notify::Poll`].
+pub fn laplace_run_on(
     cfg: SccConfig,
     variant: LaplaceVariant,
     n: usize,

@@ -1,78 +1,24 @@
 //! # scc-bench — harness library for regenerating the paper's tables and
 //! figures
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see
-//! `DESIGN.md` §4 for the index); the shared measurement machinery lives
-//! here so it can be unit-tested and reused by the Criterion benches.
+//! Each module of [`harness`] reproduces one table, figure or benchmark
+//! (see `DESIGN.md` §4 for the index) and runs as one subcommand of the
+//! `svmbench` binary; the shared measurement machinery lives here so it
+//! can be unit-tested and reused by the Criterion benches.
 //!
 //! All numbers reported by the harnesses are **simulated** microseconds at
 //! the paper's platform configuration (533 MHz cores, 800 MHz mesh and
 //! memory) — wall-clock time of the host is irrelevant.
 
+pub mod harness;
 pub mod laplace_run;
 pub mod pingpong;
 pub mod report;
 pub mod svm_micro;
 
 pub use laplace_run::{
-    laplace_config, laplace_run, laplace_run_host, laplace_run_host_notify, laplace_run_host_on,
-    laplace_run_traced, LaplaceCoreObs, LaplaceRun, LaplaceVariant,
+    laplace_config, laplace_run, laplace_run_on, LaplaceCoreObs, LaplaceRun, LaplaceVariant,
 };
 pub use pingpong::{pingpong_latency_us, PingPongSetup};
 pub use report::{fmt_us, Table};
 pub use svm_micro::{svm_overhead, svm_overhead_host, SvmOverhead};
-
-/// Parse `--quick` / `--iters N` / `--reps N` style flags shared by the
-/// harnesses.
-pub struct HarnessArgs {
-    pub quick: bool,
-    pub iters: Option<usize>,
-    pub reps: Option<usize>,
-    /// Overwrite result files even when the guard would refuse (e.g.
-    /// clobbering a multi-host-core `BENCH_parallel.json` with a
-    /// single-core rerun).
-    pub force: bool,
-}
-
-impl HarnessArgs {
-    pub fn parse() -> Self {
-        let mut quick = false;
-        let mut iters = None;
-        let mut reps = None;
-        let mut force = false;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--force" => force = true,
-                "--iters" => {
-                    iters = Some(
-                        args.next()
-                            .expect("--iters needs a value")
-                            .parse()
-                            .expect("--iters needs a number"),
-                    )
-                }
-                "--reps" => {
-                    reps = Some(
-                        args.next()
-                            .expect("--reps needs a value")
-                            .parse()
-                            .expect("--reps needs a number"),
-                    )
-                }
-                other => {
-                    panic!(
-                        "unknown argument {other} (try --quick, --iters N, --reps N or --force)"
-                    )
-                }
-            }
-        }
-        HarnessArgs {
-            quick,
-            iters,
-            reps,
-            force,
-        }
-    }
-}

@@ -38,6 +38,8 @@
 //! is empty, and the checker reports zero findings at zero cost: the
 //! subsystem is a no-op exactly when the instrumentation is.
 
+pub mod fnv;
+pub mod json;
 pub mod lint;
 pub mod parse;
 pub mod protocol;

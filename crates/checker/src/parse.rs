@@ -21,6 +21,7 @@
 //! Both parsers are zero-dependency and line-oriented: the exporters
 //! write one event per line, which is the contract relied on here.
 
+use crate::json::field;
 use crate::Rec;
 use scc_hw::instr::{EventKind, TraceEvent};
 
@@ -87,25 +88,6 @@ pub fn parse_protocol_log(text: &str) -> Result<Vec<Rec>, String> {
     Ok(recs)
 }
 
-/// Pull the string value of `"key":"..."` out of a JSON object line.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// Pull the raw (unquoted) value of `"key":...` out of a JSON object line,
-/// up to the next `,` or `}`.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..]
-        .find([',', '}'])
-        .unwrap_or(line.len() - start);
-    Some(line[start..start + end].trim())
-}
-
 /// Parse Chrome `trace_event` JSON (the `chrome_trace_json` format) at the
 /// given core clock.
 pub fn parse_chrome_trace(text: &str, core_mhz: u32) -> Result<Vec<Rec>, String> {
@@ -117,18 +99,18 @@ pub fn parse_chrome_trace(text: &str, core_mhz: u32) -> Result<Vec<Rec>, String>
             continue;
         }
         let err = |what: &str| format!("chrome trace line {}: {what}: {raw:?}", lineno + 1);
-        let ph = json_str(line, "ph").ok_or_else(|| err("missing ph"))?;
+        let ph = field(line, "ph").ok_or_else(|| err("missing ph"))?;
         if ph != "i" {
             // "M" metadata and "X" blocked-slices carry no payload events.
             continue;
         }
-        let name = json_str(line, "name").ok_or_else(|| err("missing name"))?;
+        let name = field(line, "name").ok_or_else(|| err("missing name"))?;
         let kind = EventKind::from_name(name).ok_or_else(|| err("unknown event name"))?;
-        let core: usize = json_raw(line, "tid")
+        let core: usize = field(line, "tid")
             .ok_or_else(|| err("missing tid"))?
             .parse()
             .map_err(|_| err("bad tid"))?;
-        let ts: f64 = json_raw(line, "ts")
+        let ts: f64 = field(line, "ts")
             .ok_or_else(|| err("missing ts"))?
             .parse()
             .map_err(|_| err("bad ts"))?;

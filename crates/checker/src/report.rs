@@ -1,5 +1,8 @@
 //! The checker's typed findings model and report rendering.
 
+use crate::fnv::Fnv1a;
+use crate::json::{self, Json};
+
 /// Which analysis produced a finding.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Detector {
@@ -57,20 +60,6 @@ pub struct Report {
     pub cores: usize,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Finding {
     /// The finding's identity for deduplication on the fuzzing path:
     /// detector, slug, page and role-ordered cores — everything that
@@ -107,16 +96,12 @@ impl Report {
         keys.dedup();
         // FNV-1a over the sorted keys: stable across platforms and
         // processes (no RandomState).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::default();
         for k in &keys {
-            for b in k.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write(k.as_bytes());
+            h.write(&[0xff]);
         }
-        h
+        h.finish()
     }
 
     /// The distinct finding slugs, sorted — the coarse classification the
@@ -128,41 +113,30 @@ impl Report {
         s
     }
 
-    /// Render as JSON (hand-rolled — the workspace is offline and carries
-    /// no serde_json).
+    /// Render as JSON in the workspace layout ([`crate::json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"events\": {},\n  \"cores\": {},\n  \"truncated\": {},\n  \"lost\": {},\n",
-            self.events, self.cores, self.truncated, self.lost
-        ));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"detector\": \"{}\", \"kind\": \"{}\", ",
-                f.detector.name(),
-                f.slug
-            ));
-            match f.page {
-                Some(p) => out.push_str(&format!("\"page\": {p}, ")),
-                None => out.push_str("\"page\": null, "),
-            }
-            let cores: Vec<String> = f.cores.iter().map(|c| c.to_string()).collect();
-            out.push_str(&format!("\"cores\": [{}], \"t\": {}, ", cores.join(", "), f.t));
-            out.push_str(&format!("\"message\": \"{}\", ", json_escape(&f.message)));
-            let ex: Vec<String> = f
-                .excerpt
-                .iter()
-                .map(|l| format!("\"{}\"", json_escape(l)))
-                .collect();
-            out.push_str(&format!("\"excerpt\": [{}]}}", ex.join(", ")));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let findings = self
+            .findings
+            .iter()
+            .map(|f| {
+                vec![
+                    ("detector", f.detector.name().into()),
+                    ("kind", f.slug.into()),
+                    ("page", f.page.into()),
+                    ("cores", Json::List(f.cores.iter().map(|&c| c.into()).collect())),
+                    ("t", f.t.into()),
+                    ("message", f.message.as_str().into()),
+                    ("excerpt", Json::List(f.excerpt.iter().map(|l| l.as_str().into()).collect())),
+                ]
+            })
+            .collect();
+        json::document(&[
+            ("events", self.events.into()),
+            ("cores", self.cores.into()),
+            ("truncated", self.truncated.into()),
+            ("lost", self.lost.into()),
+            ("findings", Json::Rows(findings)),
+        ])
     }
 
     /// Verdict for `svmcheck --expect SLUG`: the expected finding kind

@@ -18,6 +18,7 @@
 //! replay re-triggered); 1 — a planted bug was missed, a clean app
 //! misbehaved, or the replay diverged; 2 — usage or I/O error.
 
+use scc_checker::json;
 use scc_explore::{
     app, explore_app, explore_registry, parse_replay_full, run_scenario, ExploreConfig,
     ReplayError, Summary,
@@ -141,16 +142,8 @@ fn main() -> ExitCode {
 
     print!("{}", summary.render_text());
     if let Some(path) = &args.json {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("svmexplore: cannot create {}: {e}", dir.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, summary.to_json()) {
-            eprintln!("svmexplore: cannot write {}: {e}", path.display());
+        if let Err(e) = json::write_file(path, &summary.to_json()) {
+            eprintln!("svmexplore: {e}");
             return ExitCode::from(2);
         }
         println!("summary written to {}", path.display());

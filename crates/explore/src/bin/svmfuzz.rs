@@ -23,6 +23,7 @@
 //! found, clean apps clean); 1 — a contract was missed; 2 — usage or
 //! I/O error.
 
+use scc_checker::json::{self, Json};
 use scc_explore::fuzz::blind_execs_to_find;
 use scc_explore::{app, fuzz_app, fuzz_registry, registry, FuzzConfig, FuzzSummary};
 use std::path::PathBuf;
@@ -91,16 +92,6 @@ fn silence_panics() {
     std::panic::set_hook(Box::new(|_| {}));
 }
 
-fn write_json(path: &PathBuf, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
 /// Derive worker i's master seed: far-apart deterministic streams.
 fn worker_seed(master: u64, i: u64) -> u64 {
     master.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -140,10 +131,17 @@ fn run_jobs(args: &Args) -> Result<FuzzSummary, String> {
             .map_err(|e| format!("cannot spawn worker {i}: {e}"))?;
         children.push((i, child, wjson));
     }
-    // Workers write their own JSON; the parent only needs exit codes and
-    // re-derives the merged view by re-reading the shared corpus. For
-    // the summary we re-run nothing: merge the per-worker reports.
-    let mut merged: Option<FuzzSummary> = None;
+    // Workers write their own JSON; the parent merges their reports into
+    // a shell listing the campaign's apps. One execution per app (the
+    // baseline, milliseconds each) gives the shell honest expected/skipped
+    // fields without duplicating registry logic here.
+    let mut merged = fuzz_registry(&FuzzConfig {
+        execs: 1,
+        master_seed: args.cfg.master_seed,
+        corpus_dir: None,
+        out_dir: args.cfg.out_dir.clone(),
+        apps: args.cfg.apps.clone(),
+    });
     let mut failed = Vec::new();
     for (i, mut child, wjson) in children {
         let status = child
@@ -155,90 +153,32 @@ fn run_jobs(args: &Args) -> Result<FuzzSummary, String> {
         }
         let text = std::fs::read_to_string(&wjson)
             .map_err(|e| format!("worker {i} report {}: {e}", wjson.display()))?;
-        let found_apps = parse_worker_found(&text);
-        match &mut merged {
-            None => {
-                // Adopt worker 0's shape as the merge base.
-                let cfg = FuzzConfig {
-                    execs: 0,
-                    master_seed: args.cfg.master_seed,
-                    corpus_dir: None,
-                    out_dir: args.cfg.out_dir.clone(),
-                    apps: args.cfg.apps.clone(),
-                };
-                let mut base = fuzz_skeleton(&cfg);
-                apply_worker(&mut base, &found_apps, per_worker);
-                merged = Some(base);
-            }
-            Some(m) => apply_worker(m, &found_apps, per_worker),
-        }
+        apply_worker(&mut merged, &text, per_worker);
     }
     if !failed.is_empty() {
         return Err(failed.join("; "));
     }
-    merged.ok_or_else(|| "no workers ran".into())
+    Ok(merged)
 }
 
-/// An empty summary shell listing the apps a campaign would cover, for
-/// merging worker results into.
-fn fuzz_skeleton(cfg: &FuzzConfig) -> FuzzSummary {
-    let zero = FuzzConfig {
-        execs: 0,
-        ..cfg.clone()
-    };
-    // execs = 0 still runs the baseline execution per app; that is cheap
-    // (milliseconds per app) and gives the merge shell honest expected/
-    // skipped fields without duplicating registry logic here.
-    fuzz_registry(&FuzzConfig { execs: 1, ..zero })
-}
-
-struct WorkerApp {
-    name: String,
-    found: bool,
-    execs_to_find: Option<u64>,
-    false_findings: u64,
-}
-
-/// Pull the per-app fields the merge needs out of a worker's JSON report
-/// (hand-rolled parse over our own fixed format).
-fn parse_worker_found(json: &str) -> Vec<WorkerApp> {
-    let mut out = Vec::new();
-    for chunk in json.split("{\"name\": \"").skip(1) {
-        let name = match chunk.split('"').next() {
-            Some(n) => n.to_string(),
-            None => continue,
+/// Fold one worker's JSON report into the merged summary.
+fn apply_worker(m: &mut FuzzSummary, report: &str, per_worker: u64) {
+    for row in json::rows(report, "apps") {
+        let name = json::field(row, "name");
+        let Some(a) = m.apps.iter_mut().find(|a| name == Some(a.name)) else {
+            continue;
         };
-        let num_after = |key: &str| {
-            chunk
-                .split(key)
-                .nth(1)
-                .and_then(|s| s.split([',', '}']).next())
-                .and_then(|s| s.trim().parse::<u64>().ok())
-        };
-        out.push(WorkerApp {
-            name,
-            found: chunk.contains("\"found\": true"),
-            execs_to_find: num_after("\"execs_to_find\": "),
-            false_findings: num_after("\"false_findings\": ").unwrap_or(0),
-        });
-    }
-    out
-}
-
-fn apply_worker(m: &mut FuzzSummary, found: &[WorkerApp], per_worker: u64) {
-    for a in &mut m.apps {
-        if let Some(w) = found.iter().find(|w| w.name == a.name) {
-            a.execs = a.execs.max(per_worker);
-            a.false_findings += w.false_findings;
-            if w.found {
-                a.found = true;
-                // Wall-clock budget: workers run concurrently, so the
-                // campaign's cost-to-find is the best worker's.
-                a.execs_to_find = match (a.execs_to_find, w.execs_to_find) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                };
-            }
+        let num = |key| json::field(row, key).and_then(|v| v.parse::<u64>().ok());
+        a.execs = a.execs.max(per_worker);
+        a.false_findings += num("false_findings").unwrap_or(0);
+        if json::field(row, "found") == Some("true") {
+            a.found = true;
+            // Wall-clock budget: workers run concurrently, so the
+            // campaign's cost-to-find is the best worker's.
+            a.execs_to_find = match (a.execs_to_find, num("execs_to_find")) {
+                (Some(x), Some(y)) => Some(x.min(y)),
+                (x, y) => x.or(y),
+            };
         }
     }
 }
@@ -249,7 +189,8 @@ fn apply_worker(m: &mut FuzzSummary, found: &[WorkerApp], per_worker: u64) {
 // EXPERIMENTS.md.
 // ---------------------------------------------------------------------
 
-fn bench(args: &Args) -> Result<String, String> {
+/// The benchmark document and its verdict.
+fn bench(args: &Args) -> Result<(String, bool), String> {
     let budget = args.cfg.execs.max(24);
     let fixtures: Vec<&'static scc_explore::AppSpec> = registry()
         .iter()
@@ -259,17 +200,10 @@ fn bench(args: &Args) -> Result<String, String> {
         return Err("no schedule fixtures registered".into());
     }
 
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"budget\": {budget},\n  \"master_seed\": {},\n  \"fixtures\": [",
-        args.cfg.master_seed
-    ));
+    let mut rows = Vec::new();
     let (mut blind_total, mut fuzz_total) = (0u64, 0u64);
     let mut all_found = true;
-    for (i, spec) in fixtures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    for spec in &fixtures {
         let blind = blind_execs_to_find(spec, budget);
         let cfg = FuzzConfig {
             execs: budget,
@@ -282,20 +216,15 @@ fn bench(args: &Args) -> Result<String, String> {
         blind_total += blind.unwrap_or(budget + 1);
         fuzz_total += fz.execs_to_find.unwrap_or(budget + 1);
         all_found &= fz.found && blind.is_some();
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"blind_execs_to_find\": {}, \"fuzz_execs_to_find\": {}, \"fuzz_found\": {}, \"fuzz_coverage_bits\": {}, \"fuzz_corpus\": {}}}",
-            spec.name,
-            blind.map_or("null".into(), |v| v.to_string()),
-            fz.execs_to_find.map_or("null".into(), |v| v.to_string()),
-            fz.found,
-            fz.coverage_bits,
-            fz.corpus_len
-        ));
+        rows.push(vec![
+            ("name", spec.name.into()),
+            ("blind_execs_to_find", blind.into()),
+            ("fuzz_execs_to_find", fz.execs_to_find.into()),
+            ("fuzz_found", fz.found.into()),
+            ("fuzz_coverage_bits", fz.coverage_bits.into()),
+            ("fuzz_corpus", fz.corpus_len.into()),
+        ]);
     }
-    out.push_str(&format!(
-        "\n  ],\n  \"blind_total_execs\": {blind_total},\n  \"fuzz_total_execs\": {fuzz_total},\n  \"fuzzer_wins\": {},\n",
-        fuzz_total < blind_total
-    ));
 
     // Large-mesh campaign: clean apps on a 64-core mesh must fuzz with
     // corpus growth and zero false findings. SccConfig::small() re-reads
@@ -316,20 +245,30 @@ fn bench(args: &Args) -> Result<String, String> {
     }
     let mesh_growth: u64 = mesh.apps.iter().map(|a| a.corpus_admitted).sum();
     let mesh_false: u64 = mesh.apps.iter().map(|a| a.false_findings).sum();
-    out.push_str(&format!(
-        "  \"mesh64\": {{\"topology\": \"8x8x1:4\", \"execs_per_app\": {}, \"apps\": {}, \"ok\": {}, \"corpus_admitted\": {mesh_growth}, \"false_findings\": {mesh_false}, \"coverage_bits\": [{}]}},\n",
-        mesh_cfg.execs,
-        mesh.apps.len(),
-        mesh.ok(),
-        mesh.apps
-            .iter()
-            .map(|a| a.coverage_bits.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
     let ok = all_found && fuzz_total < blind_total && mesh.ok() && mesh_growth > 0;
-    out.push_str(&format!("  \"ok\": {ok}\n}}\n"));
-    Ok(out)
+    let mesh64 = Json::Obj(vec![
+        ("topology", "8x8x1:4".into()),
+        ("execs_per_app", mesh_cfg.execs.into()),
+        ("apps", mesh.apps.len().into()),
+        ("ok", mesh.ok().into()),
+        ("corpus_admitted", mesh_growth.into()),
+        ("false_findings", mesh_false.into()),
+        (
+            "coverage_bits",
+            Json::List(mesh.apps.iter().map(|a| a.coverage_bits.into()).collect()),
+        ),
+    ]);
+    let doc = json::document(&[
+        ("budget", budget.into()),
+        ("master_seed", args.cfg.master_seed.into()),
+        ("fixtures", Json::Rows(rows)),
+        ("blind_total_execs", blind_total.into()),
+        ("fuzz_total_execs", fuzz_total.into()),
+        ("fuzzer_wins", (fuzz_total < blind_total).into()),
+        ("mesh64", mesh64),
+        ("ok", ok.into()),
+    ]);
+    Ok((doc, ok))
 }
 
 fn main() -> ExitCode {
@@ -351,9 +290,8 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.bench {
         return match bench(&args) {
-            Ok(json) => {
-                let ok = json.contains("\"ok\": true\n}");
-                if let Err(e) = write_json(path, &json) {
+            Ok((doc, ok)) => {
+                if let Err(e) = json::write_file(path, &doc) {
                     eprintln!("svmfuzz: {e}");
                     return ExitCode::from(2);
                 }
@@ -397,7 +335,7 @@ fn main() -> ExitCode {
 
     print!("{}", summary.render_text());
     if let Some(path) = &args.json {
-        if let Err(e) = write_json(path, &summary.to_json()) {
+        if let Err(e) = json::write_file(path, &summary.to_json()) {
             eprintln!("svmfuzz: {e}");
             return ExitCode::from(2);
         }

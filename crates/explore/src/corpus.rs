@@ -16,6 +16,7 @@ use crate::mutate::Rng;
 use crate::registry::{AppSpec, Expected};
 use crate::replay::{parse_replay_full, render_replay};
 use crate::runner::Scenario;
+use scc_checker::fnv::Fnv1a;
 use scc_hw::{FaultPlan, SchedPolicy, Topology};
 use std::path::{Path, PathBuf};
 
@@ -49,19 +50,15 @@ impl Plan {
     /// app line excluded so the hash names the *plan*).
     fn content_hash(&self, app: &'static AppSpec) -> u64 {
         let text = render_replay(&self.scenario(app), &Expected::Clean);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::default();
         for line in text.lines() {
             if line.starts_with("app ") || line.starts_with('#') {
                 continue;
             }
-            for b in line.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write(line.as_bytes());
+            h.write(&[0xff]);
         }
-        h
+        h.finish()
     }
 }
 

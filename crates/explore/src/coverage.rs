@@ -29,6 +29,7 @@
 //! all-zero, and the fuzzer degrades to blind exploration at zero cost —
 //! the signal rides entirely on instrumentation that already exists.
 
+use scc_checker::fnv::Fnv1a;
 use scc_hw::instr::{CoverageSink, TraceEvent};
 use scc_hw::{CoreId, EventKind};
 use std::collections::HashMap;
@@ -117,14 +118,7 @@ impl Coverage {
     /// Deterministic fingerprint of the whole map — FNV-1a over the
     /// words. Equal across processes for identical runs.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in self.map.iter() {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        fingerprint(&self.map)
     }
 
     /// Iterate the indices of set bits, ascending.
@@ -241,15 +235,17 @@ impl GlobalCoverage {
     /// Deterministic fingerprint of the union map (FNV-1a, like
     /// [`Coverage::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in self.map.iter() {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        fingerprint(&self.map)
     }
+}
+
+/// FNV-1a over a coverage map's words, little-endian.
+fn fingerprint(words: &[u64]) -> u64 {
+    let mut h = Fnv1a::default();
+    for w in words {
+        h.write(&w.to_le_bytes());
+    }
+    h.finish()
 }
 
 #[cfg(test)]

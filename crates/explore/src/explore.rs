@@ -6,6 +6,7 @@ use crate::registry::{registry, AppSpec, Expected};
 use crate::replay::{parse_replay, render_replay};
 use crate::runner::{run_scenario, Outcome, Scenario};
 use crate::trace_enabled;
+use scc_checker::json::{self, Json};
 use scc_hw::{Fault, FaultPlan, SchedPolicy};
 use std::path::{Path, PathBuf};
 
@@ -81,87 +82,63 @@ pub struct Summary {
     pub apps: Vec<AppReport>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Summary {
     /// Every app behaved as registered (skipped apps don't fail the run).
     pub fn ok(&self) -> bool {
         self.apps.iter().all(|a| a.ok || a.skipped)
     }
 
-    /// Hand-rolled JSON (the workspace is offline and carries no
-    /// serde_json).
+    /// Render as JSON in the workspace layout ([`scc_checker::json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"seed_budget\": {},\n  \"trace\": {},\n  \"ok\": {},\n  \"apps\": [",
-            self.seed_budget,
-            trace_enabled(),
-            self.ok()
-        ));
-        for (i, a) in self.apps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"name\": \"{}\", \"expected\": \"{}\", \"ok\": {}, \"skipped\": {}, ",
-                a.name,
-                json_escape(&a.expected.describe()),
-                a.ok,
-                a.skipped
-            ));
-            out.push_str(&format!("\"runs\": {}, ", a.runs));
-            match a.trigger_seed {
-                Some(s) => out.push_str(&format!("\"trigger_seed\": {s}, ")),
-                None => out.push_str("\"trigger_seed\": null, "),
-            }
-            match &a.replay_path {
-                Some(p) => out.push_str(&format!("\"replay\": \"{}\", ", json_escape(p))),
-                None => out.push_str("\"replay\": null, "),
-            }
-            out.push_str(&format!(
-                "\"mbx_retries\": {}, \"detail\": \"{}\"}}",
-                a.mbx_retries,
-                json_escape(&a.detail)
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let apps = self
+            .apps
+            .iter()
+            .map(|a| {
+                vec![
+                    ("name", a.name.into()),
+                    ("expected", a.expected.describe().into()),
+                    ("ok", a.ok.into()),
+                    ("skipped", a.skipped.into()),
+                    ("runs", a.runs.into()),
+                    ("trigger_seed", a.trigger_seed.into()),
+                    ("replay", a.replay_path.as_deref().into()),
+                    ("mbx_retries", a.mbx_retries.into()),
+                    ("detail", a.detail.as_str().into()),
+                ]
+            })
+            .collect();
+        json::document(&[
+            ("seed_budget", self.seed_budget.into()),
+            ("trace", trace_enabled().into()),
+            ("ok", self.ok().into()),
+            ("apps", Json::Rows(apps)),
+        ])
     }
 
     /// Human-readable one-line-per-app summary.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for a in &self.apps {
-            let status = if a.skipped {
-                "SKIP"
-            } else if a.ok {
-                "ok"
-            } else {
-                "FAIL"
-            };
-            out.push_str(&format!(
-                "{status:>4}  {:<24} expect {:<28} {}\n",
-                a.name,
-                a.expected.describe(),
-                a.detail
-            ));
-        }
-        out
+        let line = |a: &AppReport| status_line(a.name, &a.expected, a.skipped, a.ok, &a.detail);
+        self.apps.iter().map(line).collect()
     }
+}
+
+/// One app's line of a text summary.
+pub(crate) fn status_line(
+    name: &str,
+    expected: &Expected,
+    skipped: bool,
+    ok: bool,
+    detail: &str,
+) -> String {
+    let status = match (skipped, ok) {
+        (true, _) => "SKIP",
+        (false, true) => "ok",
+        (false, false) => "FAIL",
+    };
+    format!(
+        "{status:>4}  {name:<24} expect {:<28} {detail}\n",
+        expected.describe()
+    )
 }
 
 /// Shrink a triggering scenario to a minimal reproducer: drop fault plan
@@ -212,11 +189,8 @@ fn write_and_verify_replay(
     out_dir: &Path,
     report: &mut AppReport,
 ) -> Result<(), String> {
-    std::fs::create_dir_all(out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let path = out_dir.join(format!("repro_{}.txt", sc.app.name));
-    std::fs::write(&path, render_replay(sc, expected))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    json::write_file(&path, &render_replay(sc, expected))?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read back {}: {e}", path.display()))?;
     let (parsed, exp) = parse_replay(&text)?;

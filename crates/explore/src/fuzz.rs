@@ -21,12 +21,14 @@
 
 use crate::corpus::{Corpus, Plan};
 use crate::coverage::{Coverage, GlobalCoverage};
-use crate::explore::shrink;
+use crate::explore::{shrink, status_line};
 use crate::mutate::{mutate, Rng};
 use crate::registry::{registry, AppSpec, Expected};
 use crate::replay::{parse_replay_full, render_replay};
 use crate::runner::{run_scenario, run_scenario_traced, Outcome, Scenario};
 use crate::trace_enabled;
+use scc_checker::fnv::{fnv1a, Fnv1a};
+use scc_checker::json::{self, Json};
 use scc_hw::SchedPolicy;
 use std::path::PathBuf;
 
@@ -56,29 +58,6 @@ impl Default for FuzzConfig {
             apps: Vec::new(),
         }
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One app's fuzzing verdict.
@@ -172,15 +151,10 @@ impl FuzzSummary {
     /// registry order. Two processes fuzzing with the same seed must
     /// agree on this exactly.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::default();
+        let mut fold = |x: u64| h.write(&x.to_le_bytes());
         for a in &self.apps {
-            fold(fnv(a.name));
+            fold(fnv1a(a.name.as_bytes()));
             fold(a.coverage_fp);
             fold(a.coverage_bits as u64);
             fold(a.corpus_len as u64);
@@ -188,80 +162,53 @@ impl FuzzSummary {
             fold(a.findings_fp);
             fold(a.false_findings);
         }
-        h
+        h.finish()
     }
 
-    /// Hand-rolled JSON (the workspace is offline; no serde_json).
+    /// Render as JSON in the workspace layout ([`scc_checker::json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"master_seed\": {},\n  \"execs_budget\": {},\n  \"trace\": {},\n  \"ok\": {},\n  \"fingerprint\": \"{:016x}\",\n  \"apps\": [",
-            self.master_seed,
-            self.execs_budget,
-            trace_enabled(),
-            self.ok(),
-            self.fingerprint()
-        ));
-        for (i, a) in self.apps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"name\": \"{}\", \"expected\": \"{}\", \"ok\": {}, \"skipped\": {}, ",
-                a.name,
-                json_escape(&a.expected.describe()),
-                a.ok(),
-                a.skipped
-            ));
-            out.push_str(&format!(
-                "\"execs\": {}, \"found\": {}, \"execs_to_find\": {}, ",
-                a.execs,
-                a.found,
-                a.execs_to_find
-                    .map_or("null".into(), |v| v.to_string())
-            ));
-            out.push_str(&format!(
-                "\"false_findings\": {}, \"saturated\": {}, \"other_outcomes\": {}, ",
-                a.false_findings, a.saturated, a.other_outcomes
-            ));
-            out.push_str(&format!(
-                "\"corpus_len\": {}, \"corpus_admitted\": {}, ",
-                a.corpus_len, a.corpus_admitted
-            ));
-            out.push_str(&format!(
-                "\"coverage_bits\": {}, \"coverage_fp\": \"{:016x}\", \"findings_fp\": \"{:016x}\", ",
-                a.coverage_bits, a.coverage_fp, a.findings_fp
-            ));
-            match &a.replay_path {
-                Some(p) => out.push_str(&format!("\"replay\": \"{}\", ", json_escape(p))),
-                None => out.push_str("\"replay\": null, "),
-            }
-            out.push_str(&format!("\"detail\": \"{}\"}}", json_escape(&a.detail)));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let hex = |x: u64| Json::Str(format!("{x:016x}"));
+        let apps = self
+            .apps
+            .iter()
+            .map(|a| {
+                vec![
+                    ("name", a.name.into()),
+                    ("expected", a.expected.describe().into()),
+                    ("ok", a.ok().into()),
+                    ("skipped", a.skipped.into()),
+                    ("execs", a.execs.into()),
+                    ("found", a.found.into()),
+                    ("execs_to_find", a.execs_to_find.into()),
+                    ("false_findings", a.false_findings.into()),
+                    ("saturated", a.saturated.into()),
+                    ("other_outcomes", a.other_outcomes.into()),
+                    ("corpus_len", a.corpus_len.into()),
+                    ("corpus_admitted", a.corpus_admitted.into()),
+                    ("coverage_bits", a.coverage_bits.into()),
+                    ("coverage_fp", hex(a.coverage_fp)),
+                    ("findings_fp", hex(a.findings_fp)),
+                    ("replay", a.replay_path.as_deref().into()),
+                    ("detail", a.detail.as_str().into()),
+                ]
+            })
+            .collect();
+        json::document(&[
+            ("master_seed", self.master_seed.into()),
+            ("execs_budget", self.execs_budget.into()),
+            ("trace", trace_enabled().into()),
+            ("ok", self.ok().into()),
+            ("fingerprint", hex(self.fingerprint())),
+            ("apps", Json::Rows(apps)),
+        ])
     }
 
     /// Human-readable one-line-per-app summary.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for a in &self.apps {
-            let status = if a.skipped {
-                "SKIP"
-            } else if a.ok() {
-                "ok"
-            } else {
-                "FAIL"
-            };
-            out.push_str(&format!(
-                "{status:>4}  {:<24} expect {:<28} {}\n",
-                a.name,
-                a.expected.describe(),
-                a.detail
-            ));
-        }
-        out
+        let line = |a: &FuzzAppReport| {
+            status_line(a.name, &a.expected, a.skipped, a.ok(), &a.detail)
+        };
+        self.apps.iter().map(line).collect()
     }
 }
 
@@ -341,11 +288,8 @@ fn write_find(
     report: &mut FuzzAppReport,
 ) -> Result<(), String> {
     let (shrunk, _) = shrink(sc, expected);
-    std::fs::create_dir_all(&cfg.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", cfg.out_dir.display()))?;
     let path = cfg.out_dir.join(format!("FUZZ_repro_{}.txt", sc.app.name));
-    std::fs::write(&path, render_replay(&shrunk, expected))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    json::write_file(&path, &render_replay(&shrunk, expected))?;
     let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
     let parsed = parse_replay_full(&text).map_err(|e| e.to_string())?;
     parsed.verify_topology().map_err(|e| e.to_string())?;
@@ -372,7 +316,7 @@ pub fn fuzz_app(spec: &'static AppSpec, cfg: &FuzzConfig) -> FuzzAppReport {
         return report;
     }
 
-    let mut rng = Rng::new(cfg.master_seed ^ fnv(spec.name));
+    let mut rng = Rng::new(cfg.master_seed ^ fnv1a(spec.name.as_bytes()));
     let mut global = GlobalCoverage::new();
     let mut corpus = match &cfg.corpus_dir {
         Some(d) => match Corpus::open(spec, d) {

@@ -7,9 +7,10 @@
 //! either, and an f64 reduction may differ only by the rounding of its
 //! fold order.
 
+use metalsvm::SvmConfig;
 use rcce::{allreduce_f64, RcceComm, ReduceOp};
 use scc_apps::laplace::{laplace_reference, LaplaceParams};
-use scc_bench::{laplace_run_host_on, LaplaceVariant};
+use scc_bench::{laplace_run_on, LaplaceVariant};
 use scc_hw::{CollMode, SccConfig, Topology};
 use scc_kernel::Cluster;
 use scc_mailbox::Notify;
@@ -39,7 +40,7 @@ fn laplace_results_identical_flat_vs_tree() {
         LaplaceVariant::SvmLazy,
     ] {
         let run_mode = |coll| {
-            laplace_run_host_on(cfg(coll), variant, 8, p, Notify::Ipi)
+            laplace_run_on(cfg(coll), variant, 8, p, Notify::Ipi, SvmConfig::default())
                 .0
                 .checksum
         };

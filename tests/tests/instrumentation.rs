@@ -95,7 +95,7 @@ fn all_three_legacy_snapshots_flow_through_the_registry() {
 #[cfg(feature = "trace")]
 mod traced {
     use super::*;
-    use scc_bench::laplace_run_traced;
+    use scc_bench::{laplace_config, laplace_run_on, LaplaceCoreObs};
     use scc_hw::instr::{chrome_trace_json, protocol_log, EventKind, TraceConfig};
     use scc_hw::TraceRing;
 
@@ -103,11 +103,15 @@ mod traced {
     fn event_times_are_monotone_per_core() {
         assert!(TraceRing::compiled_in());
         let p = LaplaceParams::tiny();
-        let (_, rings) =
-            laplace_run_traced(LaplaceVariant::SvmStrong, 4, p, TraceConfig::default());
+        let cfg = SccConfig {
+            trace: TraceConfig::default(),
+            ..laplace_config(4, p)
+        };
+        let svm = SvmConfig::default();
+        let (_, rings) = laplace_run_on(cfg, LaplaceVariant::SvmStrong, 4, p, Notify::Ipi, svm);
         let mut total = 0usize;
-        for (core, ring) in &rings {
-            let events = ring.events();
+        for LaplaceCoreObs { core, trace, .. } in &rings {
+            let events = trace.events();
             total += events.len();
             for w in events.windows(2) {
                 assert!(
@@ -124,11 +128,15 @@ mod traced {
     #[test]
     fn protocol_events_reach_the_exporters() {
         let p = LaplaceParams::tiny();
-        let (_, rings) =
-            laplace_run_traced(LaplaceVariant::SvmStrong, 4, p, TraceConfig::default());
+        let cfg = SccConfig {
+            trace: TraceConfig::default(),
+            ..laplace_config(4, p)
+        };
+        let svm = SvmConfig::default();
+        let (_, rings) = laplace_run_on(cfg, LaplaceVariant::SvmStrong, 4, p, Notify::Ipi, svm);
         let kinds: std::collections::HashSet<EventKind> = rings
             .iter()
-            .flat_map(|(_, r)| r.events())
+            .flat_map(|o| o.trace.events())
             .map(|e| e.kind)
             .collect();
         // The five-step ownership migration (Figure 5)...
@@ -150,14 +158,14 @@ mod traced {
         }
 
         let mhz = SccConfig::default().timing.core_mhz;
-        let json = chrome_trace_json(rings.iter().map(|(c, r)| (*c, r)), mhz);
+        let json = chrome_trace_json(rings.iter().map(|o| (o.core, &o.trace)), mhz);
         for needle in ["own_request", "own_grant", "mail_send", "wcb_flush", "cl1invmb"] {
             assert!(json.contains(needle), "chrome trace must mention {needle}");
         }
         assert!(json.trim_start().starts_with('['), "must be a JSON array");
         assert!(json.trim_end().ends_with(']'));
 
-        let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
+        let log = protocol_log(rings.iter().map(|o| (o.core, &o.trace)));
         assert!(log.lines().count() > 10);
         assert!(log.contains("svm.own_request"));
     }
@@ -243,14 +251,20 @@ mod traced {
     #[test]
     fn traced_laplace_matches_untraced_bit_for_bit() {
         let p = LaplaceParams::tiny();
-        let (traced, rings) =
-            laplace_run_traced(LaplaceVariant::SvmLazy, 4, p, TraceConfig::default());
-        let (shadow, empty) =
-            laplace_run_traced(LaplaceVariant::SvmLazy, 4, p, TraceConfig::disabled());
+        let run_with = |trace| {
+            let cfg = SccConfig {
+                trace,
+                ..laplace_config(4, p)
+            };
+            let svm = SvmConfig::default();
+            laplace_run_on(cfg, LaplaceVariant::SvmLazy, 4, p, Notify::Ipi, svm)
+        };
+        let (traced, rings) = run_with(TraceConfig::default());
+        let (shadow, empty) = run_with(TraceConfig::disabled());
         assert_eq!(traced.checksum, shadow.checksum);
         assert_eq!(traced.sim_ms, shadow.sim_ms);
         assert_eq!(traced.metrics, shadow.metrics);
-        assert!(rings.iter().any(|(_, r)| !r.is_empty()));
-        assert!(empty.iter().all(|(_, r)| r.is_empty()));
+        assert!(rings.iter().any(|o| !o.trace.is_empty()));
+        assert!(empty.iter().all(|o| o.trace.is_empty()));
     }
 }

@@ -11,10 +11,11 @@
 //! does): with tracing compiled in, the per-core event rings are compared
 //! event for event.
 
+use metalsvm::SvmConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run_host_notify, LaplaceVariant};
+use scc_bench::{laplace_config, laplace_run_on, LaplaceVariant};
 use scc_hw::instr::TraceConfig;
 use scc_hw::{CoreId, HostFastPaths, HwError, Machine, MemAttr, SccConfig, TraceRing};
 use scc_mailbox::Notify;
@@ -49,21 +50,29 @@ fn laplace_48core_bit_identical_parallel_vs_serial() {
         LaplaceVariant::SvmStrong,
         LaplaceVariant::SvmLazy,
     ] {
-        let (ser_run, ser_obs) = laplace_run_host_notify(
+        let (ser_run, ser_obs) = laplace_run_on(
+            SccConfig {
+                host_fast: HostFastPaths::default(),
+                trace,
+                ..laplace_config(48, p)
+            },
             variant,
             48,
             p,
-            HostFastPaths::default(),
             Notify::Poll,
-            trace,
+            SvmConfig::default(),
         );
-        let (par_run, par_obs) = laplace_run_host_notify(
+        let (par_run, par_obs) = laplace_run_on(
+            SccConfig {
+                host_fast: HostFastPaths::parallel(),
+                trace,
+                ..laplace_config(48, p)
+            },
             variant,
             48,
             p,
-            HostFastPaths::parallel(),
             Notify::Poll,
-            trace,
+            SvmConfig::default(),
         );
         assert_eq!(
             ser_run.checksum,

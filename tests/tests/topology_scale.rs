@@ -11,9 +11,9 @@
 //! so `ScratchLocation::Auto` resolves to the per-memory-controller
 //! ownership directories.
 
-use metalsvm::ScratchLocation;
+use metalsvm::{ScratchLocation, SvmConfig};
 use scc_apps::laplace::LaplaceParams;
-use scc_bench::{laplace_run_host_on, LaplaceVariant};
+use scc_bench::{laplace_run_on, LaplaceVariant};
 use scc_hw::instr::TraceConfig;
 use scc_hw::{HostFastPaths, SccConfig, Topology, TraceRing};
 use scc_mailbox::Notify;
@@ -89,23 +89,25 @@ fn laplace_512core_mesh16x32_serial_parallel_svmcheck_clean() {
         ScratchLocation::ShardedMc
     );
     for variant in [LaplaceVariant::SvmStrong, LaplaceVariant::SvmLazy] {
-        let (ser_run, ser_obs) = laplace_run_host_on(
+        let (ser_run, ser_obs) = laplace_run_on(
             cfg_512(HostFastPaths::default()),
             variant,
             512,
             GRID,
             Notify::Poll,
+            SvmConfig::default(),
         );
         assert_svmcheck_clean(&ser_obs, "serial");
         let ser_clocks: Vec<u64> = ser_obs.iter().map(|o| o.clock).collect();
         drop(ser_obs); // 512 trace rings — release before the second run
 
-        let (par_run, par_obs) = laplace_run_host_on(
+        let (par_run, par_obs) = laplace_run_on(
             cfg_512(HostFastPaths::parallel()),
             variant,
             512,
             GRID,
             Notify::Poll,
+            SvmConfig::default(),
         );
         assert_svmcheck_clean(&par_obs, "parallel");
         let par_clocks: Vec<u64> = par_obs.iter().map(|o| o.clock).collect();
