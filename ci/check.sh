@@ -65,9 +65,9 @@ echo "== svmcheck: checker suite, no-op without the trace feature =="
 cargo test -q -p integration-tests --test checker
 
 # End-to-end offline path: trace the clean 48-core Laplace run and every
-# buggy fixture, then re-parse the logs with the svmcheck binary. The
-# Laplace log must be clean; each fixture log must contain exactly its
-# planted finding.
+# buggy fixture, then re-parse the traces with the svmcheck binary. The
+# Laplace protocol log and Chrome trace must both be clean; each fixture
+# log must contain exactly its planted finding.
 echo "== svmcheck: offline gate over captured traces =="
 # One traced svmbench build serves every traced harness below.
 cargo build -q --release --features trace -p scc-bench --bin svmbench
@@ -75,6 +75,7 @@ cargo build -q --release -p scc-checker --bin svmcheck
 ./target/release/svmbench trace_laplace --quick
 ./target/release/svmbench trace_fixture
 ./target/release/svmcheck results/TRACE_laplace.log
+./target/release/svmcheck results/TRACE_laplace.json
 ./target/release/svmcheck --expect stale-read results/TRACE_stale_read.log
 ./target/release/svmcheck --expect grant-by-non-owner results/TRACE_forged_grant.log
 ./target/release/svmcheck --expect unreleased-lock results/TRACE_unreleased_lock.log

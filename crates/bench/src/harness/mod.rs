@@ -26,7 +26,9 @@ use crate::{laplace_config, laplace_run_on, LaplaceRun, LaplaceVariant};
 use metalsvm::SvmConfig;
 use scc_apps::laplace::LaplaceParams;
 use scc_checker::json::{self, Json};
-use scc_hw::instr::{chrome_trace_json, protocol_log, TraceConfig};
+use scc_checker::parse::{chrome_trace_json, protocol_log};
+use scc_checker::Stream;
+use scc_hw::instr::TraceConfig;
 use scc_hw::{CoreId, SccConfig, TraceRing};
 use scc_mailbox::Notify;
 
@@ -83,8 +85,9 @@ fn write_result(path: &str, fields: &[(&'static str, Json)]) {
 /// format) and `results/TRACE_<name>.log` (protocol log) and say so.
 fn export_trace(name: &str, rings: &[(CoreId, TraceRing)]) {
     let mhz = SccConfig::default().timing.core_mhz;
-    let json = chrome_trace_json(rings.iter().map(|(c, r)| (*c, r)), mhz);
-    let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
+    let stream = Stream::from_rings(rings.iter().map(|(c, r)| (*c, r)));
+    let json = chrome_trace_json(&stream, mhz);
+    let log = protocol_log(&stream);
     write_out(&format!("results/TRACE_{name}.json"), &json);
     write_out(&format!("results/TRACE_{name}.log"), &log);
     println!(

@@ -11,7 +11,9 @@
 
 use super::{warn_if_untraced, write_out, Args};
 use scc_apps::fixtures::{fixture, run_fixture_traced, FIXTURES};
-use scc_hw::instr::{protocol_log, EventKind, TraceConfig};
+use scc_checker::parse::protocol_log;
+use scc_checker::Stream;
+use scc_hw::instr::{EventKind, TraceConfig};
 
 pub fn run(args: &Args) {
     let picked: Vec<_> = if args.fixtures.is_empty() {
@@ -40,7 +42,7 @@ pub fn run(args: &Args) {
     for f in picked {
         let rings = run_fixture_traced(f, trace_cfg);
         let events: usize = rings.iter().map(|(_, r)| r.len()).sum();
-        let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
+        let log = protocol_log(&Stream::from_rings(rings.iter().map(|(c, r)| (*c, r))));
         let path = format!("results/TRACE_{}.log", f.name);
         write_out(&path, &log);
         println!(

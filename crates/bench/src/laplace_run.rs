@@ -87,7 +87,8 @@ pub struct LaplaceCoreObs {
 /// every trace configuration; only host wall-clock changes. Rings are
 /// empty unless the `trace` cargo feature is compiled in and
 /// `cfg.trace.per_core_capacity > 0`; export them with
-/// [`scc_hw::instr::chrome_trace_json`] or [`scc_hw::instr::protocol_log`].
+/// [`scc_checker::parse::chrome_trace_json`] or
+/// [`scc_checker::parse::protocol_log`] over a [`scc_checker::Stream`].
 /// The parallel executor does not support IPIs, so runs under it use
 /// [`Notify::Poll`].
 pub fn laplace_run_on(

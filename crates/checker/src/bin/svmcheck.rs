@@ -4,8 +4,9 @@
 //! svmcheck [--mhz N] [--json] [--expect SLUG] FILE...
 //! ```
 //!
-//! Each FILE is either a protocol log (`protocol_log` text) or a Chrome
-//! trace JSON (`chrome_trace_json`); the format is sniffed per file.
+//! Each FILE is either a protocol log (`parse::protocol_log` text) or a
+//! Chrome trace JSON (`parse::chrome_trace_json`); the format is sniffed
+//! per file.
 //! `--mhz` sets the core clock used to turn Chrome microsecond timestamps
 //! back into cycles (default: the simulator's default core clock).
 //!
@@ -15,7 +16,7 @@
 //! *additional unexpected* findings next to the expected one); 2 — usage
 //! or I/O error.
 
-use scc_checker::{parse, Checker};
+use scc_checker::parse;
 use scc_hw::SccConfig;
 use std::process::ExitCode;
 
@@ -78,18 +79,14 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let recs = match parse::parse_auto(&text, args.mhz) {
-            Ok(r) => r,
+        let stream = match parse::parse_auto(&text, args.mhz) {
+            Ok(s) => s,
             Err(e) => {
                 eprintln!("svmcheck: {file}: {e}");
                 return ExitCode::from(2);
             }
         };
-        let mut checker = Checker::new();
-        for r in recs {
-            checker.push(r.core, r.e);
-        }
-        let report = checker.finish();
+        let report = stream.check();
         if args.files.len() > 1 || args.expect.is_some() {
             println!("== {file} ==");
         }

@@ -27,12 +27,13 @@
 //!
 //! ## Online and offline
 //!
-//! Online, a [`Checker`] registers as an [`scc_hw::EventSink`] and is fed
-//! the merged per-core rings of a finished run via [`scc_hw::replay`]
-//! (use [`check_rings`]). Offline, [`parse`] reads the exported protocol
-//! log or Chrome trace JSON back into the same event stream. Both paths
-//! observe the identical global order, so they produce identical findings
-//! — the shadow tests assert this.
+//! Everything the analyses see is a [`Stream`]: the events of one run
+//! merged into global simulated-time order. Online, [`Stream::from_rings`]
+//! merges the per-core rings of a finished run (use [`check_rings`]).
+//! Offline, [`parse`] reads an exported protocol log or Chrome trace back
+//! into the same stream — [`parse`] also holds both writers, each beside
+//! its reader. Both paths observe the identical global order, so they
+//! produce identical findings — the shadow tests assert this.
 //!
 //! Without the `trace` cargo feature the rings stay empty, every stream
 //! is empty, and the checker reports zero findings at zero cost: the
@@ -49,7 +50,7 @@ pub mod report;
 pub use report::{Detector, Finding, Report};
 
 use scc_hw::instr::{EventKind, TraceEvent};
-use scc_hw::{CoreId, EventSink, TraceRing};
+use scc_hw::{CoreId, TraceRing};
 use std::collections::{BTreeSet, HashMap};
 
 /// Consistency-model tags as carried by `RegionAlloc` events.
@@ -66,11 +67,9 @@ pub struct Rec {
 }
 
 impl Rec {
-    /// Render as a protocol-log line, byte-identical to what
-    /// `scc_hw::instr::protocol_log` prints for this event (findings quote
-    /// these lines in their excerpts).
+    /// Render as a protocol-log line — the one formatter behind
+    /// [`parse::protocol_log`] and the excerpts findings quote.
     pub fn line(&self) -> String {
-        let (an, bn, cn) = self.e.kind.arg_names();
         let mut s = format!(
             "[{:>12}] core {:02} {}.{}",
             self.t,
@@ -78,12 +77,64 @@ impl Rec {
             self.e.kind.category(),
             self.e.kind.name()
         );
-        for (name, val) in [(an, self.e.a), (bn, self.e.b), (cn, self.e.c)] {
-            if !name.is_empty() {
-                s.push_str(&format!(" {name}={val}"));
-            }
+        for (name, val) in parse::named_args(&self.e) {
+            s.push_str(&format!(" {name}={val}"));
         }
         s
+    }
+}
+
+/// One run's protocol events, merged into global simulated-time order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Stream {
+    /// The cores whose events were merged, in the order given — one
+    /// Chrome trace lane each, including cores that recorded nothing.
+    pub cores: Vec<usize>,
+    /// Every event, ordered by `(t, core)`; ties keep per-core record
+    /// order.
+    pub recs: Vec<Rec>,
+    /// Events lost to ring wrap before the merge (always 0 for a parsed
+    /// trace: neither format encodes truncation).
+    pub lost: u64,
+}
+
+impl Stream {
+    /// Build a stream from events gathered core by core, each core's in
+    /// record order: a stable sort on `(t, core)` is the merge.
+    pub(crate) fn new(cores: Vec<usize>, mut recs: Vec<Rec>, lost: u64) -> Stream {
+        recs.sort_by_key(|r| (r.t, r.core));
+        Stream { cores, recs, lost }
+    }
+
+    /// Merge the per-core rings of a finished run, counting the events
+    /// each wrapped ring overwrote.
+    pub fn from_rings<'a>(per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>) -> Stream {
+        let (mut cores, mut recs, mut lost) = (Vec::new(), Vec::new(), 0);
+        for (core, ring) in per_core {
+            let core = core.idx();
+            cores.push(core);
+            lost += ring.overwritten();
+            recs.extend(ring.events().into_iter().map(|e| Rec { t: e.t, core, e }));
+        }
+        Stream::new(cores, recs, lost)
+    }
+
+    /// Run the three analyses over the stream.
+    pub fn check(&self) -> Report {
+        let info = StreamInfo::scan(&self.recs, self.lost == 0);
+        let mut findings = Vec::new();
+        findings.extend(race::analyze(&self.recs, &info));
+        findings.extend(protocol::analyze(&self.recs, &info));
+        findings.extend(lint::analyze(&self.recs, &info));
+        // Report in event order; ties keep detector order (stable sort).
+        findings.sort_by_key(|f| f.t);
+        Report {
+            findings,
+            truncated: self.lost > 0,
+            lost: self.lost,
+            events: self.recs.len(),
+            cores: info.ncores,
+        }
     }
 }
 
@@ -143,65 +194,53 @@ impl StreamInfo {
     }
 }
 
-/// The checker: buffer the stream (online as an [`EventSink`], offline
-/// from [`parse`]), then run all three analyses in [`Checker::finish`].
-#[derive(Default)]
-pub struct Checker {
-    recs: Vec<Rec>,
-    lost: u64,
-}
-
-impl EventSink for Checker {
-    fn event(&mut self, core: CoreId, event: &TraceEvent) {
-        self.push(core.idx(), *event);
-    }
-
-    fn truncated(&mut self, _core: CoreId, lost: u64) {
-        self.lost += lost;
-    }
-}
-
-impl Checker {
-    pub fn new() -> Checker {
-        Checker::default()
-    }
-
-    /// Feed one event (offline path; the online path goes through the
-    /// [`EventSink`] impl).
-    pub fn push(&mut self, core: usize, e: TraceEvent) {
-        self.recs.push(Rec { t: e.t, core, e });
-    }
-
-    /// Record that `lost` events are missing from the stream (ring wrap).
-    pub fn mark_truncated(&mut self, lost: u64) {
-        self.lost += lost;
-    }
-
-    /// Sort the buffered stream into global simulated-time order (stable:
-    /// ties keep per-core ring order, matching `protocol_log`) and run the
-    /// three analyses.
-    pub fn finish(mut self) -> Report {
-        self.recs.sort_by_key(|r| (r.t, r.core));
-        let info = StreamInfo::scan(&self.recs, self.lost == 0);
-        let mut findings = Vec::new();
-        findings.extend(race::analyze(&self.recs, &info));
-        findings.extend(protocol::analyze(&self.recs, &info));
-        findings.extend(lint::analyze(&self.recs, &info));
-        // Report in event order; ties keep detector order (stable sort).
-        findings.sort_by_key(|f| f.t);
-        Report {
-            findings,
-            truncated: self.lost > 0,
-            lost: self.lost,
-            events: self.recs.len(),
-            cores: info.ncores,
-        }
-    }
-}
-
 /// Run the checker online over the per-core rings of a finished run.
 pub fn check_rings<'a>(per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>) -> Report {
-    let mut checker = Checker::new();
-    scc_hw::replay(per_core, &mut checker);
-    checker.finish()
+    Stream::from_rings(per_core).check()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merge_orders_by_time_then_core_and_keeps_record_order() {
+        let rec = |t, core, kind| Rec {
+            t,
+            core,
+            e: TraceEvent {
+                t,
+                kind,
+                a: 0,
+                b: 0,
+                c: 0,
+            },
+        };
+        // Gathered core by core, each core's events in record order.
+        let s = Stream::new(
+            vec![0, 1],
+            vec![
+                rec(10, 0, EventKind::Barrier),
+                rec(30, 0, EventKind::Barrier),
+                rec(10, 1, EventKind::Cl1Invmb),
+                rec(10, 1, EventKind::Barrier),
+                rec(20, 1, EventKind::Barrier),
+            ],
+            0,
+        );
+        let order: Vec<(usize, u64, EventKind)> =
+            s.recs.iter().map(|r| (r.core, r.t, r.e.kind)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, 10, EventKind::Barrier),
+                (1, 10, EventKind::Cl1Invmb),
+                (1, 10, EventKind::Barrier),
+                (1, 20, EventKind::Barrier),
+                (0, 30, EventKind::Barrier),
+            ],
+            "global time order, ties broken by core id, then record order"
+        );
+        assert!(!s.check().truncated);
+    }
 }

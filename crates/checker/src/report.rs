@@ -60,21 +60,10 @@ pub struct Report {
     pub cores: usize,
 }
 
-impl Finding {
-    /// The finding's identity for deduplication on the fuzzing path:
-    /// detector, slug, page and role-ordered cores — everything that
-    /// distinguishes two *distinct* bugs, and nothing that merely varies
-    /// between two reproductions of the same one (timestamps, excerpt
-    /// text). Two schedules that trip the same protocol violation on the
-    /// same page with the same cores count as one finding in a corpus.
-    pub fn dedup_key(&self) -> (Detector, &'static str, Option<u32>, &[usize]) {
-        (self.detector, self.slug, self.page, &self.cores)
-    }
-}
-
 impl Report {
-    /// Deterministic 64-bit fingerprint of the finding *set* (dedup keys,
-    /// sorted): the oracle-side half of svm-fuzz's replayability story.
+    /// Deterministic 64-bit fingerprint of the finding *set* (detector,
+    /// slug, page and role-ordered cores of each, sorted): the oracle-side
+    /// half of svm-fuzz's replayability story.
     /// Two runs — in the same process or across processes — report the
     /// same fingerprint iff they found the same set of distinct bugs.
     pub fn fingerprint(&self) -> u64 {

@@ -30,8 +30,8 @@
 //! the signal rides entirely on instrumentation that already exists.
 
 use scc_checker::fnv::Fnv1a;
-use scc_hw::instr::{CoverageSink, TraceEvent};
-use scc_hw::{CoreId, EventKind};
+use scc_hw::instr::TraceEvent;
+use scc_hw::{CoreId, EventKind, TraceRing};
 use std::collections::HashMap;
 
 /// log2 of the coverage map size in bits.
@@ -63,12 +63,12 @@ fn hashed_bit(domain: u64, key: u64) -> usize {
 }
 
 /// One run's coverage bitmap, accumulated from the per-core event rings
-/// via [`scc_hw::tap`].
+/// by [`Coverage::walk_rings`].
 #[derive(Clone)]
 pub struct Coverage {
     map: Box<[u64]>,
     bits: u32,
-    /// Per-core transition state, reset by `begin_core`.
+    /// Per-core transition state, reset at the start of each ring.
     last: u8,
     window: u32,
     core: u32,
@@ -128,20 +128,29 @@ impl Coverage {
             (0..64).filter(move |b| w & (1 << b) != 0).map(move |b| wi * 64 + b)
         })
     }
-}
 
-impl CoverageSink for Coverage {
-    fn begin_core(&mut self, core: CoreId) {
-        self.last = NONE;
-        self.window = 0;
-        self.core = core.idx() as u32;
-        // Page transition chains deliberately span cores: the page is the
-        // protocol object, and an interleaving shows up exactly as an
-        // unexpected cross-core ordering of events on it. `tap` feeds
-        // cores in a fixed order, so the chains stay deterministic.
+    /// Fold per-core rings into the map: core by core in iteration order,
+    /// each core's events in ring (record) order. A transition signal is
+    /// defined over each core's own event sequence (plus the per-page and
+    /// core-pair keys its payloads carry), so no global time merge is
+    /// needed. Without the `trace` feature every ring is empty and this
+    /// costs nothing.
+    pub fn walk_rings<'a>(&mut self, per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>) {
+        for (core, ring) in per_core {
+            self.last = NONE;
+            self.window = 0;
+            self.core = core.idx() as u32;
+            // Page transition chains deliberately span cores: the page is
+            // the protocol object, and an interleaving shows up exactly as
+            // an unexpected cross-core ordering of events on it. Cores are
+            // walked in a fixed order, so the chains stay deterministic.
+            for e in ring.events() {
+                self.event(&e);
+            }
+        }
     }
 
-    fn event(&mut self, _core: CoreId, e: &TraceEvent) {
+    fn event(&mut self, e: &TraceEvent) {
         let k = e.kind.ordinal();
         // 1. Per-core pair: direct index.
         if self.last != NONE {
@@ -251,7 +260,7 @@ fn fingerprint(words: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_hw::instr::{tap, TraceConfig, TraceRing};
+    use scc_hw::instr::TraceConfig;
 
     #[cfg(feature = "trace")]
     fn ring_of(kinds: &[(EventKind, u32, u32)]) -> TraceRing {
@@ -271,7 +280,7 @@ mod tests {
             (EventKind::OwnAcquired, 5, 9),
         ]);
         let mut cov = Coverage::new();
-        tap([(CoreId::new(0), &r)].iter().map(|(c, r)| (*c, *r)), &mut cov);
+        cov.walk_rings([(CoreId::new(0), &r)]);
         let pf = EventKind::PageFault.ordinal() as usize;
         let oreq = EventKind::OwnRequest.ordinal() as usize;
         let oacq = EventKind::OwnAcquired.ordinal() as usize;
@@ -293,7 +302,7 @@ mod tests {
 
         // Identical input → identical map.
         let mut cov2 = Coverage::new();
-        tap([(CoreId::new(0), &r)].iter().map(|(c, r)| (*c, *r)), &mut cov2);
+        cov2.walk_rings([(CoreId::new(0), &r)]);
         assert_eq!(cov.fingerprint(), cov2.fingerprint());
         assert_eq!(cov.bits_set(), cov2.bits_set());
     }
@@ -304,17 +313,29 @@ mod tests {
         let r0 = ring_of(&[(EventKind::Barrier, 0, 0)]);
         let r1 = ring_of(&[(EventKind::Cl1Invmb, 0, 0)]);
         let mut cov = Coverage::new();
-        tap(
-            [(CoreId::new(0), &r0), (CoreId::new(1), &r1)]
-                .iter()
-                .map(|(c, r)| (*c, *r)),
-            &mut cov,
-        );
+        cov.walk_rings([(CoreId::new(0), &r0), (CoreId::new(1), &r1)]);
         // No cross-core pair barrier→cl1invmb: each ring starts fresh.
         let cross =
             EventKind::Barrier.ordinal() as usize * EventKind::COUNT
                 + EventKind::Cl1Invmb.ordinal() as usize;
         assert!(!cov.iter_bits().any(|i| i == cross));
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn rings_are_walked_in_record_order() {
+        // Recorded out of time order: the pair follows the ring.
+        let mut r = TraceRing::new(&TraceConfig::full(8));
+        r.record(30, EventKind::Barrier, 0, 0);
+        r.record(10, EventKind::Cl1Invmb, 0, 0);
+        let mut cov = Coverage::new();
+        cov.walk_rings([(CoreId::new(0), &r)]);
+        let (bar, inv) = (
+            EventKind::Barrier.ordinal() as usize,
+            EventKind::Cl1Invmb.ordinal() as usize,
+        );
+        let direct: Vec<usize> = cov.iter_bits().filter(|i| *i < DIRECT_BITS).collect();
+        assert_eq!(direct, vec![bar * EventKind::COUNT + inv]);
     }
 
     #[cfg(feature = "trace")]
@@ -326,19 +347,14 @@ mod tests {
         let r0 = ring_of(&[(EventKind::OwnRequest, 7, 1)]);
         let r1 = ring_of(&[(EventKind::OwnGrant, 7, 0)]);
         let mut joint = Coverage::new();
-        tap(
-            [(CoreId::new(0), &r0), (CoreId::new(1), &r1)]
-                .iter()
-                .map(|(c, r)| (*c, *r)),
-            &mut joint,
-        );
+        joint.walk_rings([(CoreId::new(0), &r0), (CoreId::new(1), &r1)]);
         let mut solo = Coverage::new();
-        tap([(CoreId::new(0), &r0)].iter().map(|(c, r)| (*c, *r)), &mut solo);
+        solo.walk_rings([(CoreId::new(0), &r0)]);
         let mut solo1 = Coverage::new();
-        tap([(CoreId::new(1), &r1)].iter().map(|(c, r)| (*c, *r)), &mut solo1);
+        solo1.walk_rings([(CoreId::new(1), &r1)]);
         assert!(
             joint.bits_set() > solo.bits_set() + solo1.bits_set() - 1,
-            "joint tap must add a cross-core page transition \
+            "a joint walk must add a cross-core page transition \
              (joint {} vs solo {} + {})",
             joint.bits_set(),
             solo.bits_set(),
@@ -374,7 +390,7 @@ mod tests {
     fn empty_rings_yield_empty_maps() {
         let r = TraceRing::new(&TraceConfig::full(16));
         let mut cov = Coverage::new();
-        tap([(CoreId::new(0), &r)].iter().map(|(c, r)| (*c, *r)), &mut cov);
+        cov.walk_rings([(CoreId::new(0), &r)]);
         #[cfg(not(feature = "trace"))]
         assert_eq!(cov.bits_set(), 0);
         #[cfg(feature = "trace")]

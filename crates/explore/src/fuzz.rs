@@ -29,7 +29,7 @@ use crate::runner::{run_scenario, run_scenario_traced, Outcome, Scenario};
 use crate::trace_enabled;
 use scc_checker::fnv::{fnv1a, Fnv1a};
 use scc_checker::json::{self, Json};
-use scc_hw::SchedPolicy;
+use scc_hw::{HwError, SchedPolicy};
 use std::path::PathBuf;
 
 /// Fuzzing campaign parameters.
@@ -221,7 +221,7 @@ impl FuzzSummary {
 fn is_budget_artifact(outcome: &Outcome) -> bool {
     match outcome {
         Outcome::Panic(msg) => msg.contains("mailbox send timeout"),
-        Outcome::Deadlock(msg) => msg.contains("election budget exceeded"),
+        Outcome::Deadlock(e) => matches!(e, HwError::ElectionBudget { .. }),
         _ => false,
     }
 }
@@ -491,7 +491,9 @@ mod tests {
             classify(&sat, &Expected::Clean),
             Verdict::Saturated
         ));
-        let dead = Outcome::Deadlock("all cores blocked".into());
+        let dead = Outcome::Deadlock(HwError::Deadlock {
+            waiting: vec![(0, "barrier".into())],
+        });
         assert!(matches!(
             classify(&dead, &Expected::Clean),
             Verdict::FalsePositive
@@ -507,9 +509,9 @@ mod tests {
         ));
         // A livelocked schedule (election budget guard) is an artifact,
         // not a finding — and crucially not a "found" deadlock.
-        let livelock = Outcome::Deadlock(
-            "election budget exceeded after 2000001 schedule decisions — livelock".into(),
-        );
+        let livelock = Outcome::Deadlock(HwError::ElectionBudget {
+            elections: 2_000_001,
+        });
         assert!(matches!(
             classify(&livelock, &Expected::Deadlock),
             Verdict::Saturated
@@ -533,7 +535,7 @@ mod tests {
             let o = crate::runner::run_scenario(&Scenario::baseline(spec));
             if matches!(spec.expected, Expected::Clean) {
                 assert!(
-                    !matches!(&o, Outcome::Deadlock(m) if m.contains("election budget")),
+                    !matches!(&o, Outcome::Deadlock(HwError::ElectionBudget { .. })),
                     "{}: baseline clipped by the livelock guard: {}",
                     spec.name,
                     o.brief()

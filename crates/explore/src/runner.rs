@@ -6,7 +6,7 @@ use crate::registry::{AppRun, AppSpec, Expected};
 use metalsvm::{install as svm_install, SvmConfig};
 use scc_checker::{check_rings, Finding};
 use scc_hw::instr::{EventKind, TraceConfig};
-use scc_hw::{FaultPlan, SccConfig, SchedPolicy};
+use scc_hw::{FaultPlan, HwError, SccConfig, SchedPolicy};
 use scc_kernel::Cluster;
 use scc_mailbox::{install as mbx_install, Notify};
 use std::panic::AssertUnwindSafe;
@@ -39,8 +39,9 @@ pub enum Outcome {
     Clean { mbx_retries: u64, mbx_timeouts: u64 },
     /// Run completed but the checker reported findings.
     Findings(Vec<Finding>),
-    /// The executor detected a deadlock (all cores blocked forever).
-    Deadlock(String),
+    /// The executor stopped the run: a deadlock (all cores blocked
+    /// forever) or its election-budget livelock guard.
+    Deadlock(HwError),
     /// A core program panicked (e.g. the mailbox retry budget ran out —
     /// the explorer's stand-in for a hang).
     Panic(String),
@@ -151,10 +152,10 @@ pub fn run_scenario_traced(sc: &Scenario) -> (Outcome, Coverage) {
     }));
     match caught {
         Err(p) => (Outcome::Panic(panic_msg(p)), Coverage::new()),
-        Ok(Err(e)) => (Outcome::Deadlock(e.to_string()), Coverage::new()),
+        Ok(Err(e)) => (Outcome::Deadlock(e), Coverage::new()),
         Ok(Ok(rs)) => {
             let mut cov = Coverage::new();
-            scc_hw::tap(rs.iter().map(|r| (r.core, &r.trace)), &mut cov);
+            cov.walk_rings(rs.iter().map(|r| (r.core, &r.trace)));
             let report = check_rings(rs.iter().map(|r| (r.core, &r.trace)));
             let outcome = if report.findings.is_empty() {
                 let (mut retries, mut timeouts) = (0u64, 0u64);

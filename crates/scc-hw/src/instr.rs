@@ -21,182 +21,184 @@
 //! recording on, masked off, or compiled out (the shadow tests assert
 //! this).
 //!
-//! ## Export
+//! ## Consumers
 //!
-//! [`chrome_trace_json`] renders the rings as Chrome `trace_event` JSON
-//! (open in `chrome://tracing` or <https://ui.perfetto.dev>; one thread
-//! lane per core, timestamps in simulated microseconds).
-//! [`protocol_log`] renders a flat, time-sorted plain-text protocol log
-//! for grepping and diffing.
+//! This module only records. The `scc_checker` crate merges the rings
+//! into one time-ordered stream and owns both export formats — the
+//! Chrome `trace_event` JSON and the plain-text protocol log — each
+//! writer beside its parser; svm-fuzz's coverage map walks the rings
+//! directly.
 
-use crate::topology::CoreId;
 use serde::{Deserialize, Serialize};
 
-/// The event taxonomy. Discriminants are stable bit positions in
-/// [`TraceConfig::mask`] and must stay below 64.
-#[repr(u8)]
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum EventKind {
+/// Declares the event taxonomy from one table: each row is a variant's
+/// doc comment, its ordinal, its name, its category and its three payload
+/// arg names, and every per-kind lookup is generated from that row.
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident = $ord:literal => $name:literal, $cat:literal, [$a:literal, $b:literal, $c:literal];
+    )+) => {
+        /// The event taxonomy. Discriminants are stable bit positions in
+        /// [`TraceConfig::mask`] and must stay below 64.
+        #[repr(u8)]
+        #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+        pub enum EventKind {
+            $( $(#[$doc])* $kind = $ord, )+
+        }
+
+        /// All kinds, in discriminant order.
+        pub const ALL_KINDS: [EventKind; [$($ord),+].len()] = [$(EventKind::$kind),+];
+
+        impl EventKind {
+            /// Event name as it appears in the Chrome trace and the protocol log.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $name,)+
+                }
+            }
+
+            /// Subsystem category (the Chrome trace `cat` field).
+            pub fn category(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $cat,)+
+                }
+            }
+
+            /// Names of the three payload arguments; `""` marks an unused slot.
+            pub fn arg_names(self) -> (&'static str, &'static str, &'static str) {
+                match self {
+                    $(EventKind::$kind => ($a, $b, $c),)+
+                }
+            }
+
+            /// Inverse of [`EventKind::name`] — used by the offline trace parsers.
+            pub fn from_name(name: &str) -> Option<EventKind> {
+                match name {
+                    $($name => Some(EventKind::$kind),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A page fault entered the kernel (`a` = faulting VA, `b` = 1 for
     /// write access).
-    PageFault = 0,
+    PageFault = 0 => "page_fault", "paging", ["va", "write", ""];
     /// Strong/WI model, step 2: requester sends an ownership request
     /// (`a` = page, `b` = believed owner).
-    OwnRequest = 1,
+    OwnRequest = 1 => "own_request", "svm", ["page", "owner", ""];
     /// Owner side: request arrived for a page we no longer own; forwarded
     /// (`a` = page, `b` = current owner).
-    OwnForward = 2,
+    OwnForward = 2 => "own_forward", "svm", ["page", "owner", "requester"];
     /// Owner side, steps 3–4: flushed, withdrew access, recorded the new
     /// owner (`a` = page, `b` = new owner).
-    OwnGrant = 3,
+    OwnGrant = 3 => "own_grant", "svm", ["page", "to", ""];
     /// Requester side, step 5: the acknowledgement mail arrived
     /// (`a` = page).
-    OwnAck = 4,
+    OwnAck = 4 => "own_ack", "svm", ["page", "granter", ""];
     /// Requester side: ownership migration complete, page mapped
     /// (`a` = page, `b` = frame).
-    OwnAcquired = 5,
+    OwnAcquired = 5 => "own_acquired", "svm", ["page", "frame", ""];
     /// First-touch frame allocation (`a` = page, `b` = frame).
-    FirstTouch = 6,
+    FirstTouch = 6 => "first_touch", "placement", ["page", "frame", ""];
     /// Affinity-on-next-touch migration (`a` = page, `b` = new frame).
-    Migrate = 7,
+    Migrate = 7 => "migrate", "placement", ["page", "frame", ""];
     /// Write-invalidate model: read replica granted and mapped
     /// (`a` = page, `b` = version).
-    ReadReplica = 8,
+    ReadReplica = 8 => "read_replica", "wi", ["page", "version", ""];
     /// Write-invalidate: invalidations sent to the copyset
     /// (`a` = page, `b` = number of replica holders).
-    WiInvSend = 9,
+    WiInvSend = 9 => "wi_inv_send", "wi", ["page", "replicas", ""];
     /// Write-invalidate: replica dropped on an invalidation mail
     /// (`a` = page).
-    WiInvRecv = 10,
+    WiInvRecv = 10 => "wi_inv_recv", "wi", ["page", "", ""];
     /// Write-invalidate: grant mail arrived (`a` = page, `b` = 1 for a
     /// write grant).
-    WiGrant = 11,
+    WiGrant = 11 => "wi_grant", "wi", ["page", "write", ""];
     /// Mailbox send (`a` = destination core, `b` = mail kind).
-    MailSend = 12,
+    MailSend = 12 => "mail_send", "mailbox", ["dst", "kind", "stamp"];
     /// Mailbox receive (`a` = source core, `b` = mail kind).
-    MailRecv = 13,
+    MailRecv = 13 => "mail_recv", "mailbox", ["src", "kind", "stamp"];
     /// GIC doorbell raised (`a` = destination core).
-    IpiSend = 14,
+    IpiSend = 14 => "ipi_send", "gic", ["dst", "", ""];
     /// GIC doorbell claimed (`a` = source core).
-    IpiRecv = 15,
+    IpiRecv = 15 => "ipi_recv", "gic", ["src", "", ""];
     /// Write-combine buffer line left the buffer (`a` = line address /
     /// 32).
-    WcbFlush = 16,
+    WcbFlush = 16 => "wcb_flush", "cache", ["line", "", ""];
     /// `CL1INVMB` executed: all MPBT-tagged L1 lines invalidated.
-    Cl1Invmb = 17,
+    Cl1Invmb = 17 => "cl1invmb", "cache", ["", "", ""];
     /// Lazy-release acquire action: lock taken, tagged lines invalidated
     /// (`a` = test-and-set register).
-    AcquireInv = 18,
+    AcquireInv = 18 => "acquire_inv", "sync", ["reg", "", ""];
     /// Lazy-release release action: WCB flushed, lock dropped
     /// (`a` = test-and-set register).
-    ReleaseFlush = 19,
+    ReleaseFlush = 19 => "release_flush", "sync", ["reg", "", ""];
     /// SVM barrier entered (release + acquire actions around it).
-    Barrier = 20,
+    Barrier = 20 => "barrier", "sync", ["", "", ""];
     /// Software-TLB translation hit (`a` = virtual page number).
     /// Off in the default mask — it fires on nearly every access.
-    TlbHit = 21,
+    TlbHit = 21 => "tlb_hit", "tlb", ["vpn", "", ""];
     /// Software-TLB miss: page-table walk taken (`a` = virtual page
     /// number).
-    TlbMiss = 22,
+    TlbMiss = 22 => "tlb_miss", "tlb", ["vpn", "", ""];
     /// TLB entry dropped by a PTE-mutation shootdown (`a` = virtual page
     /// number).
-    TlbShootdown = 23,
+    TlbShootdown = 23 => "tlb_shootdown", "tlb", ["vpn", "", ""];
     /// PTE installed (`a` = VA, `b` = frame).
-    PageMap = 24,
+    PageMap = 24 => "page_map", "paging", ["va", "frame", ""];
     /// PTE permissions changed (`a` = VA, `b` = new flag bits).
-    PageProtect = 25,
+    PageProtect = 25 => "page_protect", "paging", ["va", "flags", ""];
     /// PTE dropped (`a` = VA).
-    PageUnmap = 26,
+    PageUnmap = 26 => "page_unmap", "paging", ["va", "", ""];
     /// Core entered a blocking wait in the executor.
-    BlockEnter = 27,
+    BlockEnter = 27 => "block", "exec", ["", "", ""];
     /// Core left a blocking wait (the exporter pairs Enter/Exit into
     /// duration slices).
-    BlockExit = 28,
+    BlockExit = 28 => "unblock", "exec", ["", "", ""];
     /// SVM page read through an `SvmArray` accessor, deduplicated per
     /// synchronisation segment (`a` = page).
-    SvmRead = 29,
+    SvmRead = 29 => "svm_read", "svm", ["page", "", ""];
     /// SVM page write through an `SvmArray` accessor, deduplicated per
     /// synchronisation segment (`a` = page).
-    SvmWrite = 30,
+    SvmWrite = 30 => "svm_write", "svm", ["page", "", ""];
     /// `SvmLock::acquire` entered: the test-and-set register was taken
     /// (`a` = register). The matching [`EventKind::AcquireInv`] records
     /// the invalidate half of the acquire action.
-    LockAcquire = 31,
+    LockAcquire = 31 => "lock_acquire", "sync", ["reg", "", ""];
     /// `SvmLock::release` completed: the test-and-set register was
     /// dropped (`a` = register). The matching
     /// [`EventKind::ReleaseFlush`] records the flush half.
-    LockRelease = 32,
+    LockRelease = 32 => "lock_release", "sync", ["reg", "", ""];
     /// A typed synchronisation-misuse error was detected and reported
     /// (`a` = register, `b` = error code: 1 = acquire re-entry,
     /// 2 = release of a lock not held).
-    SyncErr = 33,
+    SyncErr = 33 => "sync_err", "sync", ["reg", "code", ""];
     /// SVM region allocated (`a` = first page, `b` = page count,
     /// `c` = consistency model: 0 strong, 1 lazy release,
     /// 2 write-invalidate).
-    RegionAlloc = 34,
+    RegionAlloc = 34 => "region_alloc", "svm", ["page", "pages", "model"];
     /// `FrameOwners` advisory registry update (`a` = frame,
     /// `b` = new owner core, or `u32::MAX` on release).
-    FrameOwner = 35,
+    FrameOwner = 35 => "frame_owner", "placement", ["frame", "owner", ""];
     /// MPB-tree collective: a child's arrival flag was observed by its
     /// parent (`a` = child core, `b` = barrier epoch, `c` = tree level:
     /// 0 tile, 1 quad, 2 root).
-    CollArrive = 36,
+    CollArrive = 36 => "coll_arrive", "sync", ["child", "epoch", "level"];
     /// MPB-tree collective: a parent released a child (`a` = child core,
     /// `b` = barrier epoch, `c` = tree level as in `CollArrive`).
-    CollRelease = 37,
+    CollRelease = 37 => "coll_release", "sync", ["child", "epoch", "level"];
     /// svm-kv: a client issued a request (`a` = op: 0 GET / 1 PUT /
     /// 2 SCAN, `b` = key, `c` = correlation id).
-    KvReq = 38,
+    KvReq = 38 => "kv_req", "kv", ["op", "key", "corr"];
     /// svm-kv: the matching reply completed at the client
     /// (`a` = op, `b` = virtual-time latency in cycles, saturated at
     /// `u32::MAX`, `c` = correlation id).
-    KvResp = 39,
+    KvResp = 39 => "kv_resp", "kv", ["op", "latency", "corr"];
 }
-
-/// All kinds, in discriminant order (kept in sync with the enum; the unit
-/// tests assert the mapping).
-pub const ALL_KINDS: [EventKind; 40] = [
-    EventKind::PageFault,
-    EventKind::OwnRequest,
-    EventKind::OwnForward,
-    EventKind::OwnGrant,
-    EventKind::OwnAck,
-    EventKind::OwnAcquired,
-    EventKind::FirstTouch,
-    EventKind::Migrate,
-    EventKind::ReadReplica,
-    EventKind::WiInvSend,
-    EventKind::WiInvRecv,
-    EventKind::WiGrant,
-    EventKind::MailSend,
-    EventKind::MailRecv,
-    EventKind::IpiSend,
-    EventKind::IpiRecv,
-    EventKind::WcbFlush,
-    EventKind::Cl1Invmb,
-    EventKind::AcquireInv,
-    EventKind::ReleaseFlush,
-    EventKind::Barrier,
-    EventKind::TlbHit,
-    EventKind::TlbMiss,
-    EventKind::TlbShootdown,
-    EventKind::PageMap,
-    EventKind::PageProtect,
-    EventKind::PageUnmap,
-    EventKind::BlockEnter,
-    EventKind::BlockExit,
-    EventKind::SvmRead,
-    EventKind::SvmWrite,
-    EventKind::LockAcquire,
-    EventKind::LockRelease,
-    EventKind::SyncErr,
-    EventKind::RegionAlloc,
-    EventKind::FrameOwner,
-    EventKind::CollArrive,
-    EventKind::CollRelease,
-    EventKind::KvReq,
-    EventKind::KvResp,
-];
 
 impl EventKind {
     /// Number of event kinds in the taxonomy (the coverage accumulators
@@ -220,28 +222,13 @@ impl EventKind {
 
     /// The SVM page (or frame, for [`EventKind::FrameOwner`]) an event is
     /// about, when its payload names one — the per-page key of the
-    /// transition-coverage signal. `None` for kinds whose payload is not
-    /// page-shaped (mail traffic, cache maintenance, kv ops...).
+    /// transition-coverage signal: slot `a`, for exactly the kinds whose
+    /// first arg is named `page` or `frame`. `None` for kinds whose
+    /// payload is not page-shaped (mail traffic, cache maintenance, kv
+    /// ops...).
     #[inline]
     pub fn page_key(self, e: &TraceEvent) -> Option<u32> {
-        match self {
-            EventKind::OwnRequest
-            | EventKind::OwnForward
-            | EventKind::OwnGrant
-            | EventKind::OwnAck
-            | EventKind::OwnAcquired
-            | EventKind::FirstTouch
-            | EventKind::Migrate
-            | EventKind::ReadReplica
-            | EventKind::WiInvSend
-            | EventKind::WiInvRecv
-            | EventKind::WiGrant
-            | EventKind::SvmRead
-            | EventKind::SvmWrite
-            | EventKind::RegionAlloc
-            | EventKind::FrameOwner => Some(e.a),
-            _ => None,
-        }
+        matches!(self.arg_names().0, "page" | "frame").then_some(e.a)
     }
 
     /// The *other* core an event names, when its payload carries one —
@@ -263,139 +250,6 @@ impl EventKind {
             EventKind::CollArrive | EventKind::CollRelease => Some(e.a),
             _ => None,
         }
-    }
-
-    /// Event name as it appears in the Chrome trace and the protocol log.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::PageFault => "page_fault",
-            EventKind::OwnRequest => "own_request",
-            EventKind::OwnForward => "own_forward",
-            EventKind::OwnGrant => "own_grant",
-            EventKind::OwnAck => "own_ack",
-            EventKind::OwnAcquired => "own_acquired",
-            EventKind::FirstTouch => "first_touch",
-            EventKind::Migrate => "migrate",
-            EventKind::ReadReplica => "read_replica",
-            EventKind::WiInvSend => "wi_inv_send",
-            EventKind::WiInvRecv => "wi_inv_recv",
-            EventKind::WiGrant => "wi_grant",
-            EventKind::MailSend => "mail_send",
-            EventKind::MailRecv => "mail_recv",
-            EventKind::IpiSend => "ipi_send",
-            EventKind::IpiRecv => "ipi_recv",
-            EventKind::WcbFlush => "wcb_flush",
-            EventKind::Cl1Invmb => "cl1invmb",
-            EventKind::AcquireInv => "acquire_inv",
-            EventKind::ReleaseFlush => "release_flush",
-            EventKind::Barrier => "barrier",
-            EventKind::TlbHit => "tlb_hit",
-            EventKind::TlbMiss => "tlb_miss",
-            EventKind::TlbShootdown => "tlb_shootdown",
-            EventKind::PageMap => "page_map",
-            EventKind::PageProtect => "page_protect",
-            EventKind::PageUnmap => "page_unmap",
-            EventKind::BlockEnter => "block",
-            EventKind::BlockExit => "unblock",
-            EventKind::SvmRead => "svm_read",
-            EventKind::SvmWrite => "svm_write",
-            EventKind::LockAcquire => "lock_acquire",
-            EventKind::LockRelease => "lock_release",
-            EventKind::SyncErr => "sync_err",
-            EventKind::RegionAlloc => "region_alloc",
-            EventKind::FrameOwner => "frame_owner",
-            EventKind::CollArrive => "coll_arrive",
-            EventKind::CollRelease => "coll_release",
-            EventKind::KvReq => "kv_req",
-            EventKind::KvResp => "kv_resp",
-        }
-    }
-
-    /// Subsystem category (the Chrome trace `cat` field).
-    pub fn category(self) -> &'static str {
-        match self {
-            EventKind::PageFault
-            | EventKind::PageMap
-            | EventKind::PageProtect
-            | EventKind::PageUnmap => "paging",
-            EventKind::OwnRequest
-            | EventKind::OwnForward
-            | EventKind::OwnGrant
-            | EventKind::OwnAck
-            | EventKind::OwnAcquired => "svm",
-            EventKind::FirstTouch | EventKind::Migrate => "placement",
-            EventKind::ReadReplica
-            | EventKind::WiInvSend
-            | EventKind::WiInvRecv
-            | EventKind::WiGrant => "wi",
-            EventKind::MailSend | EventKind::MailRecv => "mailbox",
-            EventKind::IpiSend | EventKind::IpiRecv => "gic",
-            EventKind::WcbFlush | EventKind::Cl1Invmb => "cache",
-            EventKind::AcquireInv
-            | EventKind::ReleaseFlush
-            | EventKind::Barrier
-            | EventKind::LockAcquire
-            | EventKind::LockRelease
-            | EventKind::SyncErr
-            | EventKind::CollArrive
-            | EventKind::CollRelease => "sync",
-            EventKind::TlbHit | EventKind::TlbMiss | EventKind::TlbShootdown => "tlb",
-            EventKind::BlockEnter | EventKind::BlockExit => "exec",
-            EventKind::SvmRead | EventKind::SvmWrite | EventKind::RegionAlloc => "svm",
-            EventKind::FrameOwner => "placement",
-            EventKind::KvReq | EventKind::KvResp => "kv",
-        }
-    }
-
-    /// Names of the three payload arguments; `""` marks an unused slot.
-    pub fn arg_names(self) -> (&'static str, &'static str, &'static str) {
-        match self {
-            EventKind::PageFault => ("va", "write", ""),
-            EventKind::OwnRequest => ("page", "owner", ""),
-            EventKind::OwnForward => ("page", "owner", "requester"),
-            EventKind::OwnGrant => ("page", "to", ""),
-            EventKind::OwnAck => ("page", "granter", ""),
-            EventKind::OwnAcquired => ("page", "frame", ""),
-            EventKind::FirstTouch => ("page", "frame", ""),
-            EventKind::Migrate => ("page", "frame", ""),
-            EventKind::ReadReplica => ("page", "version", ""),
-            EventKind::WiInvSend => ("page", "replicas", ""),
-            EventKind::WiInvRecv => ("page", "", ""),
-            EventKind::WiGrant => ("page", "write", ""),
-            EventKind::MailSend => ("dst", "kind", "stamp"),
-            EventKind::MailRecv => ("src", "kind", "stamp"),
-            EventKind::IpiSend => ("dst", "", ""),
-            EventKind::IpiRecv => ("src", "", ""),
-            EventKind::WcbFlush => ("line", "", ""),
-            EventKind::Cl1Invmb => ("", "", ""),
-            EventKind::AcquireInv => ("reg", "", ""),
-            EventKind::ReleaseFlush => ("reg", "", ""),
-            EventKind::Barrier => ("", "", ""),
-            EventKind::TlbHit => ("vpn", "", ""),
-            EventKind::TlbMiss => ("vpn", "", ""),
-            EventKind::TlbShootdown => ("vpn", "", ""),
-            EventKind::PageMap => ("va", "frame", ""),
-            EventKind::PageProtect => ("va", "flags", ""),
-            EventKind::PageUnmap => ("va", "", ""),
-            EventKind::BlockEnter => ("", "", ""),
-            EventKind::BlockExit => ("", "", ""),
-            EventKind::SvmRead => ("page", "", ""),
-            EventKind::SvmWrite => ("page", "", ""),
-            EventKind::LockAcquire => ("reg", "", ""),
-            EventKind::LockRelease => ("reg", "", ""),
-            EventKind::SyncErr => ("reg", "code", ""),
-            EventKind::RegionAlloc => ("page", "pages", "model"),
-            EventKind::FrameOwner => ("frame", "owner", ""),
-            EventKind::CollArrive => ("child", "epoch", "level"),
-            EventKind::CollRelease => ("child", "epoch", "level"),
-            EventKind::KvReq => ("op", "key", "corr"),
-            EventKind::KvResp => ("op", "latency", "corr"),
-        }
-    }
-
-    /// Inverse of [`EventKind::name`] — used by the offline trace parsers.
-    pub fn from_name(name: &str) -> Option<EventKind> {
-        ALL_KINDS.iter().copied().find(|k| k.name() == name)
     }
 
     /// This kind's bit in [`TraceConfig::mask`].
@@ -572,211 +426,6 @@ impl TraceRing {
     }
 }
 
-// ----------------------------------------------------------------------
-// Exporters
-// ----------------------------------------------------------------------
-
-fn push_args(out: &mut String, e: &TraceEvent) {
-    let (an, bn, cn) = e.kind.arg_names();
-    out.push('{');
-    let mut any = false;
-    for (name, val) in [(an, e.a), (bn, e.b), (cn, e.c)] {
-        if name.is_empty() {
-            continue;
-        }
-        if any {
-            out.push(',');
-        }
-        any = true;
-        out.push_str(&format!("\"{name}\":{val}"));
-    }
-    out.push('}');
-}
-
-/// Render per-core rings as Chrome `trace_event` JSON (JSON-array format).
-/// Timestamps are simulated microseconds (`cycles / core_mhz`); one thread
-/// lane per core. `BlockEnter`/`BlockExit` pairs become duration slices,
-/// everything else a thread-scoped instant event.
-pub fn chrome_trace_json<'a>(
-    per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>,
-    core_mhz: u32,
-) -> String {
-    let mhz = core_mhz as f64;
-    let mut out = String::from("[\n");
-    let mut first = true;
-    let mut emit = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
-    };
-    for (core, ring) in per_core {
-        let tid = core.idx();
-        emit(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"core {tid:02}\"}}}}"
-            ),
-            &mut out,
-        );
-        let events = ring.events();
-        let mut i = 0;
-        while i < events.len() {
-            let e = events[i];
-            let ts = e.t as f64 / mhz;
-            match e.kind {
-                EventKind::BlockEnter => {
-                    // Pair with the next BlockExit on this core.
-                    let exit = events[i + 1..]
-                        .iter()
-                        .find(|x| x.kind == EventKind::BlockExit);
-                    if let Some(x) = exit {
-                        let dur = (x.t.saturating_sub(e.t)) as f64 / mhz;
-                        emit(
-                            format!(
-                                "{{\"name\":\"blocked\",\"cat\":\"exec\",\"ph\":\"X\",\
-                                 \"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":0,\"tid\":{tid}}}"
-                            ),
-                            &mut out,
-                        );
-                    }
-                }
-                EventKind::BlockExit => {} // consumed by its BlockEnter
-                _ => {
-                    let mut args = String::new();
-                    push_args(&mut args, &e);
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\
-                             \"ts\":{ts:.3},\"pid\":0,\"tid\":{tid},\"args\":{args}}}",
-                            e.kind.name(),
-                            e.kind.category(),
-                        ),
-                        &mut out,
-                    );
-                }
-            }
-            i += 1;
-        }
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Render per-core rings as a flat plain-text protocol log, sorted by
-/// simulated time (ties broken by core id). One event per line:
-///
-/// ```text
-/// [      123456] core 03 svm.own_request page=5 owner=2
-/// ```
-pub fn protocol_log<'a>(per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>) -> String {
-    let mut all: Vec<(u64, usize, TraceEvent)> = Vec::new();
-    for (core, ring) in per_core {
-        for e in ring.events() {
-            all.push((e.t, core.idx(), e));
-        }
-    }
-    all.sort_by_key(|(t, c, _)| (*t, *c));
-    let mut out = String::new();
-    for (t, core, e) in all {
-        let (an, bn, cn) = e.kind.arg_names();
-        out.push_str(&format!(
-            "[{t:>12}] core {core:02} {}.{}",
-            e.kind.category(),
-            e.kind.name()
-        ));
-        for (name, val) in [(an, e.a), (bn, e.b), (cn, e.c)] {
-            if !name.is_empty() {
-                out.push_str(&format!(" {name}={val}"));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Sinks
-// ----------------------------------------------------------------------
-
-/// A consumer of the merged, time-ordered event stream — the online
-/// attachment point for analysis tools such as the `scc_checker` crate.
-///
-/// [`replay`] feeds every event from a set of per-core rings to a sink in
-/// global simulated-time order, the same order [`protocol_log`] prints.
-/// Because rings are only merged after a run completes, a sink observes
-/// exactly what an offline parse of the exported trace would — the shadow
-/// tests in the checker assert the two paths produce identical findings.
-pub trait EventSink {
-    /// One event from `core` at simulated time `event.t`.
-    fn event(&mut self, core: CoreId, event: &TraceEvent);
-
-    /// Ring-buffer truncation notice: `core` overwrote `lost` events
-    /// before the replay started, so the stream is incomplete.
-    fn truncated(&mut self, core: CoreId, lost: u64) {
-        let _ = (core, lost);
-    }
-}
-
-/// A consumer of per-core event streams in *ring order* — the attachment
-/// point for coverage accumulators (svm-fuzz's transition-coverage
-/// signal), alongside the checker's globally-merged [`EventSink`].
-///
-/// Unlike [`replay`], [`tap`] feeds each core's ring separately and in
-/// the order events were recorded, without the global merge sort: a
-/// transition signal is defined over each core's own event sequence (plus
-/// per-page and per-core-pair keys carried in the payloads), so the
-/// merge's O(n log n) and its allocation are pure waste on the fuzzing
-/// hot loop. Without the `trace` feature every ring is empty and a tap
-/// costs nothing — the fuzzer degrades to blind exploration.
-pub trait CoverageSink {
-    /// Called once before `core`'s events, in ring (chronological) order.
-    fn begin_core(&mut self, core: CoreId) {
-        let _ = core;
-    }
-
-    /// One event from `core`, in ring order.
-    fn event(&mut self, core: CoreId, event: &TraceEvent);
-}
-
-/// Feed every event from the per-core rings to `sink`, core by core in
-/// iteration order, each core's events in ring (chronological) order.
-pub fn tap<'a>(
-    per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>,
-    sink: &mut dyn CoverageSink,
-) {
-    for (core, ring) in per_core {
-        sink.begin_core(core);
-        for e in ring.events() {
-            sink.event(core, &e);
-        }
-    }
-}
-
-/// Feed every event from the per-core rings to `sink` in global
-/// simulated-time order (ties broken by core id, then by ring order —
-/// a stable sort, matching [`protocol_log`]). Reports each wrapped ring
-/// through [`EventSink::truncated`] before the first event.
-pub fn replay<'a>(
-    per_core: impl IntoIterator<Item = (CoreId, &'a TraceRing)>,
-    sink: &mut dyn EventSink,
-) {
-    let mut all: Vec<(u64, usize, TraceEvent)> = Vec::new();
-    for (core, ring) in per_core {
-        if ring.overwritten() > 0 {
-            sink.truncated(core, ring.overwritten());
-        }
-        for e in ring.events() {
-            all.push((e.t, core.idx(), e));
-        }
-    }
-    all.sort_by_key(|(t, c, _)| (*t, *c));
-    for (_, core, e) in &all {
-        sink.event(CoreId::new(*core), e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,34 +481,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
-    #[test]
-    fn tap_feeds_rings_in_ring_order() {
-        struct Collect(Vec<(usize, u64)>, usize);
-        impl CoverageSink for Collect {
-            fn begin_core(&mut self, _core: CoreId) {
-                self.1 += 1;
-            }
-            fn event(&mut self, core: CoreId, e: &TraceEvent) {
-                self.0.push((core.idx(), e.t));
-            }
-        }
-        let mut r0 = TraceRing::new(&TraceConfig::full(8));
-        r0.record(30, EventKind::Barrier, 0, 0);
-        r0.record(10, EventKind::Barrier, 0, 0); // ring order, not time order
-        let mut r1 = TraceRing::new(&TraceConfig::full(8));
-        r1.record(20, EventKind::Cl1Invmb, 0, 0);
-        let mut sink = Collect(Vec::new(), 0);
-        tap(
-            [(CoreId::new(0), &r0), (CoreId::new(1), &r1)]
-                .iter()
-                .map(|(c, r)| (*c, *r)),
-            &mut sink,
-        );
-        assert_eq!(sink.0, vec![(0, 30), (0, 10), (1, 20)]);
-        assert_eq!(sink.1, 2, "begin_core once per ring");
-    }
-
     #[test]
     fn default_mask_excludes_tlb_hits_only() {
         let m = EventKind::default_mask();
@@ -902,79 +523,6 @@ mod tests {
         assert_eq!(r.overwritten(), 6);
         let ts: Vec<u64> = r.events().iter().map(|e| e.t).collect();
         assert_eq!(ts, vec![6, 7, 8, 9], "chronological after wrap");
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn exporters_render_names_and_args() {
-        let mut r = TraceRing::new(&TraceConfig::full(16));
-        r.record(533, EventKind::OwnRequest, 5, 2);
-        r.record(1066, EventKind::BlockEnter, 0, 0);
-        r.record(2132, EventKind::BlockExit, 0, 0);
-        let pairs = [(CoreId::new(3), &r)];
-        let json = chrome_trace_json(pairs.iter().map(|(c, r)| (*c, *r)), 533);
-        assert!(json.contains("\"own_request\""));
-        assert!(json.contains("\"page\":5"));
-        assert!(json.contains("\"ph\":\"X\""), "block pair must become a slice");
-        assert!(json.contains("\"ts\":1.000"), "533 cy at 533 MHz = 1 us");
-
-        let log = protocol_log(pairs.iter().map(|(c, r)| (*c, *r)));
-        assert!(log.contains("core 03 svm.own_request page=5 owner=2"));
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn third_payload_slot_renders_when_named() {
-        let mut r = TraceRing::new(&TraceConfig::full(16));
-        r.record3(100, EventKind::RegionAlloc, 4, 2, 1);
-        r.record3(200, EventKind::MailSend, 7, 3, 123456);
-        let pairs = [(CoreId::new(0), &r)];
-        let log = protocol_log(pairs.iter().map(|(c, r)| (*c, *r)));
-        assert!(log.contains("svm.region_alloc page=4 pages=2 model=1"));
-        assert!(log.contains("mailbox.mail_send dst=7 kind=3 stamp=123456"));
-        let json = chrome_trace_json(pairs.iter().map(|(c, r)| (*c, *r)), 533);
-        assert!(json.contains("\"model\":1"));
-        assert!(json.contains("\"stamp\":123456"));
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn replay_merges_rings_in_time_order() {
-        struct Collect {
-            seen: Vec<(usize, u64, EventKind)>,
-            lost: u64,
-        }
-        impl EventSink for Collect {
-            fn event(&mut self, core: CoreId, e: &TraceEvent) {
-                self.seen.push((core.idx(), e.t, e.kind));
-            }
-            fn truncated(&mut self, _core: CoreId, lost: u64) {
-                self.lost += lost;
-            }
-        }
-        let mut r0 = TraceRing::new(&TraceConfig::full(8));
-        r0.record(10, EventKind::Barrier, 0, 0);
-        r0.record(30, EventKind::Barrier, 0, 0);
-        let mut r1 = TraceRing::new(&TraceConfig::full(8));
-        r1.record(10, EventKind::Cl1Invmb, 0, 0);
-        r1.record(20, EventKind::Barrier, 0, 0);
-        let mut sink = Collect {
-            seen: Vec::new(),
-            lost: 0,
-        };
-        replay(
-            [(CoreId::new(0), &r0), (CoreId::new(1), &r1)]
-                .iter()
-                .map(|(c, r)| (*c, *r)),
-            &mut sink,
-        );
-        let order: Vec<(usize, u64)> = sink.seen.iter().map(|(c, t, _)| (*c, *t)).collect();
-        assert_eq!(
-            order,
-            vec![(0, 10), (1, 10), (1, 20), (0, 30)],
-            "global time order, ties broken by core id"
-        );
-        assert_eq!(sink.lost, 0);
     }
 
     #[cfg(not(feature = "trace"))]

@@ -70,7 +70,7 @@ pub use config::{CollMode, HostFastPaths, SccConfig};
 pub use error::HwError;
 pub use exec::SchedPolicy;
 pub use faults::{Fault, FaultPlan};
-pub use instr::{replay, tap, CoverageSink, EventKind, EventSink, TraceConfig, TraceEvent, TraceRing};
+pub use instr::{EventKind, TraceConfig, TraceEvent, TraceRing};
 pub use machine::Machine;
 pub use metrics::{MetricsSnapshot, MetricsSource};
 pub use perf::PerfCounters;

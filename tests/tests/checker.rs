@@ -8,9 +8,9 @@
 //! 2. **Planted bugs are found exactly** — each fixture kernel yields
 //!    exactly one finding, from the right detector, with the right slug,
 //!    page and cores.
-//! 3. **Online == offline** — feeding the rings to the checker as an
-//!    `EventSink` and re-parsing the exported protocol log / Chrome trace
-//!    produce identical findings.
+//! 3. **Online == offline** — checking the merged rings directly and
+//!    re-parsing the exported protocol log / Chrome trace produce
+//!    identical findings.
 //!
 //! Without the `trace` feature the whole subsystem must be a no-op.
 
@@ -20,8 +20,9 @@ mod traced {
     use scc_apps::fixtures::{fixture, run_fixture_traced, FIXTURES};
     use scc_apps::histogram::HistParams;
     use scc_apps::laplace::LaplaceParams;
-    use scc_checker::{check_rings, parse, Checker};
-    use scc_hw::instr::{chrome_trace_json, protocol_log, EventKind, TraceConfig};
+    use scc_checker::parse::{self, chrome_trace_json, protocol_log};
+    use scc_checker::{check_rings, Stream};
+    use scc_hw::instr::{EventKind, TraceConfig};
     use scc_hw::{CoreId, SccConfig, TraceRing};
     use scc_kernel::{Cluster, Kernel};
     use scc_mailbox::{install as mbx_install, Mailbox, Notify};
@@ -144,7 +145,7 @@ mod traced {
             );
             // Page-scoped findings must name the page the fixture allocated.
             if f.cores == 2 {
-                let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
+                let log = protocol_log(&Stream::from_rings(rings.iter().map(|(c, r)| (*c, r))));
                 let page: u32 = log
                     .lines()
                     .find(|l| l.contains("svm.region_alloc"))
@@ -168,21 +169,14 @@ mod traced {
             scc_apps::laplace::laplace_svm(k, svm, Consistency::Strong, LaplaceParams::tiny());
         });
         for (name, rings) in [("stale_read", stale), ("laplace_strong", clean)] {
-            let online = check_rings(rings.iter().map(|(c, r)| (*c, r)));
+            let stream = Stream::from_rings(rings.iter().map(|(c, r)| (*c, r)));
+            let online = stream.check();
 
-            let log = protocol_log(rings.iter().map(|(c, r)| (*c, r)));
-            let mut from_log = Checker::new();
-            for r in parse::parse_protocol_log(&log).unwrap() {
-                from_log.push(r.core, r.e);
-            }
-            let from_log = from_log.finish();
+            let log = protocol_log(&stream);
+            let from_log = parse::parse_protocol_log(&log).unwrap().check();
 
-            let json = chrome_trace_json(rings.iter().map(|(c, r)| (*c, r)), mhz);
-            let mut from_chrome = Checker::new();
-            for r in parse::parse_chrome_trace(&json, mhz).unwrap() {
-                from_chrome.push(r.core, r.e);
-            }
-            let from_chrome = from_chrome.finish();
+            let json = chrome_trace_json(&stream, mhz);
+            let from_chrome = parse::parse_chrome_trace(&json, mhz).unwrap().check();
 
             // The protocol log carries every event; the Chrome trace folds
             // scheduler block pairs into slices — but findings must be

@@ -96,7 +96,9 @@ fn all_three_legacy_snapshots_flow_through_the_registry() {
 mod traced {
     use super::*;
     use scc_bench::{laplace_config, laplace_run_on, LaplaceCoreObs};
-    use scc_hw::instr::{chrome_trace_json, protocol_log, EventKind, TraceConfig};
+    use scc_checker::parse::{chrome_trace_json, protocol_log};
+    use scc_checker::Stream;
+    use scc_hw::instr::{EventKind, TraceConfig};
     use scc_hw::TraceRing;
 
     #[test]
@@ -158,14 +160,15 @@ mod traced {
         }
 
         let mhz = SccConfig::default().timing.core_mhz;
-        let json = chrome_trace_json(rings.iter().map(|o| (o.core, &o.trace)), mhz);
+        let stream = Stream::from_rings(rings.iter().map(|o| (o.core, &o.trace)));
+        let json = chrome_trace_json(&stream, mhz);
         for needle in ["own_request", "own_grant", "mail_send", "wcb_flush", "cl1invmb"] {
             assert!(json.contains(needle), "chrome trace must mention {needle}");
         }
         assert!(json.trim_start().starts_with('['), "must be a JSON array");
         assert!(json.trim_end().ends_with(']'));
 
-        let log = protocol_log(rings.iter().map(|o| (o.core, &o.trace)));
+        let log = protocol_log(&stream);
         assert!(log.lines().count() > 10);
         assert!(log.contains("svm.own_request"));
     }
